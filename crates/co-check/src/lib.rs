@@ -64,7 +64,7 @@ pub use oracles::{
 };
 pub use plan::{FaultEvent, NetworkSpec, Reproducer, Scenario, Submit, NETWORK_PRESETS};
 pub use runner::{
-    run_scenario, run_scenario_observed, run_scenario_traced, LatencyStats, RunReport, CORE_NAMES,
-    EVENT_BUDGET,
+    fold_digests, run_scenario, run_scenario_observed, run_scenario_traced, LatencyStats,
+    RunReport, CORE_NAMES, EVENT_BUDGET,
 };
 pub use shrink::{shrink, ShrinkOutcome, MAX_SHRINK_RUNS};

@@ -42,6 +42,12 @@
 //! and scripts can consume the latency / peak-held / RET aggregates
 //! directly.
 //!
+//! Both report forms (and `--replay`) end with `digest` and
+//! `event_digest`: the FNV fold of every explored schedule's wire-trace
+//! and protocol-event digests. Two builds that resolved the same `rand`
+//! and print the same pair behaved bit-identically on every schedule —
+//! `scripts/digest-diff.sh` automates that comparison between commits.
+//!
 //! `--network NAME` pins every schedule's network model to a named preset
 //! (`uniform`, `contended`, `asymmetric` or `wan`) instead of the
 //! per-scenario random draw. Like `--core`, the override happens *after*
@@ -53,8 +59,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use co_check::{
-    run_scenario, run_scenario_observed, shrink, Category, FaultEvent, Json, NetworkSpec,
-    Reproducer, Scenario, CORE_NAMES, NETWORK_PRESETS,
+    fold_digests, run_scenario, run_scenario_observed, shrink, Category, FaultEvent, Json,
+    NetworkSpec, Reproducer, Scenario, CORE_NAMES, NETWORK_PRESETS,
 };
 use co_observe::{jsonl, ProtocolEvent, TraceLine, DEFAULT_RECORDER_DEPTH};
 
@@ -189,6 +195,10 @@ fn replay(path: &str) -> ExitCode {
     };
     let report = run_scenario(&rep.scenario);
     println!("replay of {path} ({})", rep.note);
+    println!(
+        "  digest {:#018x}  event digest {:#018x}",
+        report.digest, report.event_digest
+    );
     for v in &report.violations {
         println!("  {v}");
     }
@@ -262,6 +272,8 @@ fn main() -> ExitCode {
     let mut latency_samples = 0u64;
     let mut latency_total_us = 0u64;
     let mut latency_max_us = 0u64;
+    let mut digests = Vec::new();
+    let mut event_digests = Vec::new();
 
     println!(
         "co-check: exploring {} schedules (base seed {}, core {}, network {}{})",
@@ -326,6 +338,8 @@ fn main() -> ExitCode {
         latency_samples += report.latency.samples as u64;
         latency_total_us += report.latency.mean_us * report.latency.samples as u64;
         latency_max_us = latency_max_us.max(report.latency.max_us);
+        digests.push(report.digest);
+        event_digests.push(report.event_digest);
 
         if !report.violations.is_empty() {
             println!("\nVIOLATION at schedule {index} (seed {}):", args.seed);
@@ -462,6 +476,9 @@ fn main() -> ExitCode {
     }
 
     let latency_mean_us = latency_total_us / latency_samples.max(1);
+    // Hex strings, not numbers: a u64 does not survive a double.
+    let digest = format!("{:#018x}", fold_digests(digests.into_iter()));
+    let event_digest = format!("{:#018x}", fold_digests(event_digests.into_iter()));
     if args.json {
         // One machine-readable object surfacing the RunReport aggregates
         // (latency, peak-held, RET traffic) CI dashboards scrape.
@@ -485,6 +502,8 @@ fn main() -> ExitCode {
                     ("max_us".to_string(), Json::Num(latency_max_us)),
                 ]),
             ),
+            ("digest".to_string(), Json::Str(digest)),
+            ("event_digest".to_string(), Json::Str(event_digest)),
             (
                 "wall_ms".to_string(),
                 Json::Num(started.elapsed().as_millis() as u64),
@@ -493,7 +512,7 @@ fn main() -> ExitCode {
         println!("{summary}");
     } else {
         println!(
-            "\nco-check report\n  schedules explored : {explored}\n  broadcasts         : {total_broadcasts}\n  deliveries         : {total_deliveries}\n  PDUs lost          : {total_drops}\n  peak held PDUs     : {peak_held}\n  RET PDUs sent      : {total_ret_pdus}\n  retransmissions    : {total_retransmissions}\n  delivery latency   : mean {latency_mean_us}µs, max {latency_max_us}µs\n  violations         : 0\n  wall clock         : {:.1}s",
+            "\nco-check report\n  schedules explored : {explored}\n  broadcasts         : {total_broadcasts}\n  deliveries         : {total_deliveries}\n  PDUs lost          : {total_drops}\n  peak held PDUs     : {peak_held}\n  RET PDUs sent      : {total_ret_pdus}\n  retransmissions    : {total_retransmissions}\n  delivery latency   : mean {latency_mean_us}µs, max {latency_max_us}µs\n  violations         : 0\n  digest             : {digest}\n  event digest       : {event_digest}\n  wall clock         : {:.1}s",
             started.elapsed().as_secs_f64()
         );
     }

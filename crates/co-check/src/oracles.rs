@@ -33,7 +33,6 @@ use std::collections::HashMap;
 use causal_order::properties::{RunTrace, Violation as TraceViolation};
 use causal_order::{EntityId, MsgId};
 use co_observe::ProtocolEvent;
-use co_protocol::Guarantee;
 
 use crate::node::AppEvent;
 
@@ -142,19 +141,13 @@ pub struct RunObservation<'a> {
     pub quiesced: bool,
     /// Whether every entity reported `is_fully_stable()` at the end.
     pub all_stable: bool,
-    /// The delivery guarantee the core under test promises
-    /// ([`co_protocol::DeliveryCore::GUARANTEE`]). Oracle expectations
-    /// weaken to match: a FIFO-only core is not judged for causal delivery
-    /// order, while atomicity, no-duplication, no-creation, per-source
-    /// FIFO, ack integrity and liveness apply to every core.
-    pub guarantee: Guarantee,
 }
 
 /// Runs every oracle over one observed run; returns all violations,
 /// most severe category first.
 pub fn check(obs: &RunObservation<'_>) -> Vec<CheckViolation> {
     let mut violations = Vec::new();
-    check_safety(obs.events, obs.guarantee, &mut violations);
+    check_safety(obs.events, &mut violations);
     check_ack_integrity(obs.events, &mut violations);
     if !obs.quiesced {
         violations.push(CheckViolation {
@@ -318,9 +311,8 @@ pub fn check_spans(traces: &[Vec<ProtocolEvent>]) -> Vec<CheckViolation> {
     violations
 }
 
-/// §2.2/§2.3 safety via the ground-truth [`RunTrace`] oracle, expecting
-/// no more ordering than `guarantee` promises.
-fn check_safety(events: &[Vec<AppEvent>], guarantee: Guarantee, out: &mut Vec<CheckViolation>) {
+/// §2.2/§2.3 safety via the ground-truth [`RunTrace`] oracle.
+fn check_safety(events: &[Vec<AppEvent>], out: &mut Vec<CheckViolation>) {
     let mut trace = RunTrace::new(events.len());
     for (i, node_events) in events.iter().enumerate() {
         let entity = EntityId::new(i as u32);
@@ -336,15 +328,7 @@ fn check_safety(events: &[Vec<AppEvent>], guarantee: Guarantee, out: &mut Vec<Ch
         }
     }
     if let Err(found) = trace.check_co_service() {
-        for v in found {
-            let violation = classify_trace_violation(v);
-            // A core promising only per-source FIFO is allowed to deliver
-            // causally unordered; every stronger expectation still holds.
-            if violation.category == Category::Causality && guarantee < Guarantee::Causal {
-                continue;
-            }
-            out.push(violation);
-        }
+        out.extend(found.into_iter().map(classify_trace_violation));
     }
 }
 
@@ -455,7 +439,6 @@ mod tests {
             events,
             quiesced: true,
             all_stable: true,
-            guarantee: Guarantee::Causal,
         })
     }
 
@@ -531,7 +514,6 @@ mod tests {
             events: &events,
             quiesced: false,
             all_stable: true,
-            guarantee: Guarantee::Causal,
         });
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].category, Category::Liveness);
@@ -539,14 +521,13 @@ mod tests {
             events: &events,
             quiesced: true,
             all_stable: false,
-            guarantee: Guarantee::Causal,
         });
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("fully stable"));
     }
 
     #[test]
-    fn fifo_guarantee_relaxes_the_causality_oracle_only() {
+    fn cross_source_inversion_is_a_causality_violation() {
         // E3 delivers E2's message (causally after E1#1 at its origin)
         // before E1#1: a causality violation between *different* sources,
         // so per-source FIFO is clean.
@@ -568,21 +549,10 @@ mod tests {
             events: &events,
             quiesced: true,
             all_stable: true,
-            guarantee: Guarantee::Causal,
         });
         assert!(
             causal.iter().any(|v| v.category == Category::Causality),
             "{causal:?}"
-        );
-        let fifo_only = check(&RunObservation {
-            events: &events,
-            quiesced: true,
-            all_stable: true,
-            guarantee: Guarantee::Fifo,
-        });
-        assert!(
-            fifo_only.is_empty(),
-            "a FIFO-only core is not judged for causal order: {fifo_only:?}"
         );
     }
 

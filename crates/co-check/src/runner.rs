@@ -283,8 +283,11 @@ fn payload(sc: &Scenario, submit_index: usize, node: u32) -> Bytes {
     Bytes::from(data)
 }
 
-/// Folds the per-node event digests (entity order) into one run digest.
-fn fold_digests(digests: impl Iterator<Item = u64>) -> u64 {
+/// FNV-1a fold of a sequence of digests into one: the per-node event
+/// digests (entity order) of a run, or — in the binary's final report —
+/// the per-schedule digests (exploration order) of a whole exploration,
+/// which is what `scripts/digest-diff.sh` compares between two commits.
+pub fn fold_digests(digests: impl Iterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for d in digests {
         for byte in d.to_le_bytes() {
@@ -405,7 +408,6 @@ fn run_scenario_with<C: DeliveryCore>(
         events: &events,
         quiesced,
         all_stable,
-        guarantee: C::GUARANTEE,
     });
     let traces: Vec<Vec<ProtocolEvent>> = sim.nodes().map(|(_, n)| n.trace().to_vec()).collect();
     if trace && quiesced && C::NAME == CoCore::NAME {

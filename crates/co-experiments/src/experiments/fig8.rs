@@ -89,7 +89,7 @@ pub fn measure_udp(n: usize, messages: usize) -> (Duration, Duration, Duration, 
     for k in 0..messages {
         for i in 0..n {
             cluster
-                .submit(i, Bytes::from(format!("m{k}")))
+                .submit(i, Bytes::from(format!("m{k}").into_bytes()))
                 .expect("submit");
         }
         if k % 16 == 15 {
@@ -106,7 +106,7 @@ pub fn measure(n: usize, messages: usize) -> (Duration, Duration, Duration, Dura
     for k in 0..messages {
         for i in 0..n {
             cluster
-                .submit(i, Bytes::from(format!("m{k}")))
+                .submit(i, Bytes::from(format!("m{k}").into_bytes()))
                 .expect("submit");
         }
         // Pace submissions so the run is not a single burst.

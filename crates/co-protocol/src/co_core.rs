@@ -1,31 +1,26 @@
-//! [`CoCore`]: the paper's matrix/CPI delivery engine (§4) behind the
-//! [`DeliveryCore`] trait — the reference implementation.
+//! [`CoCore`]: the paper's matrix/CPI ordering policy (§4.4–4.5) over the
+//! [`ReliableFifo`] substrate — the reference implementation.
 //!
-//! This is the pre-redesign `Entity` ordering machinery, verbatim: AL/PAL
-//! knowledge matrices, the three receipt stages (accept → pre-ack →
-//! deliver), F1/F2 loss detection, selective/go-back-n retransmission,
-//! the flow condition, deferred confirmations and stability heartbeats.
-//! The [`crate::Entity`] shell feeds it validated PDUs and threads the
-//! observer through; `crates/co-protocol/tests/batch_equivalence.rs` and
-//! the regression corpus pin that the factoring is bit-identical to the
-//! monolithic entity.
+//! This is the ordering half of the original monolithic entity: AL/PAL
+//! knowledge matrices and the three receipt stages (accept → pre-ack →
+//! deliver). Loss detection, retransmission, the flow condition and
+//! confirmation pacing live below it, shared with the other cores;
+//! `crates/co-protocol/tests/batch_equivalence.rs` and the regression
+//! corpus pin that the factoring is bit-identical to the monolithic
+//! entity.
 
-use bytes::Bytes;
 use causal_order::{EntityId, Seq};
-use co_wire::{AckOnlyPdu, DataPdu, Pdu, RetPdu};
+use co_wire::{DataPdu, Pdu};
 use std::cell::Cell;
-use std::collections::VecDeque;
 
-use crate::actions::{Action, ActionSink, Delivery, SubmitOutcome};
-use crate::config::{Config, ConfigError, DeferralPolicy, RetransmissionPolicy};
-use crate::core::{DeliveryCore, Guarantee, MAX_QUEUED_SUBMITS};
+use crate::actions::ActionSink;
+use crate::config::{Config, ConfigError};
+use crate::core::{DeliveryCore, Out};
 use crate::cpi::CausalLog;
-use crate::error::ProtocolError;
-use crate::flow::{flow_decision, flow_limit, FlowDecision};
-use crate::logs::{ReceiptLogs, SendLog};
+use crate::fifo::{pdu_bytes, ReliableFifo};
+use crate::logs::ReceiptLogs;
 use crate::matrix::KnowledgeMatrix;
-use crate::metrics::Metrics;
-use crate::reorder::ReorderBuffer;
+use crate::snapshot::{CoState, EntitySnapshot};
 use co_observe::{Observer, ProtocolEvent};
 
 /// The CO protocol's delivery core: AL/PAL matrices + CPI causal log.
@@ -35,92 +30,29 @@ use co_observe::{Observer, ProtocolEvent};
 /// rounds. Knowledge state is O(n²) (two n×n matrices).
 #[derive(Debug)]
 pub struct CoCore {
-    config: Config,
-    /// `REQ_j`: next sequence number expected from `E_j`; `REQ_me` is the
-    /// next sequence number this entity will assign (the paper's `SEQ`).
-    req: Vec<Seq>,
-    /// Acceptance knowledge (`AL`, §4.4).
+    me: EntityId,
+    /// [`Config::control_updates_al`]: whether `RET`/`AckOnly` vectors are
+    /// folded into the matrices (`ablation_strict` turns it off).
+    control_updates_al: bool,
+    /// Acceptance knowledge (`AL`, §4.4). Our own column mirrors the
+    /// substrate's `REQ` frontier.
     al: KnowledgeMatrix,
     /// Pre-acknowledgment knowledge (`PAL`, §4.5).
     pal: KnowledgeMatrix,
-    /// Latest advertised free buffer units per entity (`BUF`, §4.1).
-    buf_known: Vec<u32>,
-    /// Sending log for retransmission.
-    sl: SendLog,
     /// Accepted, not yet pre-acknowledged PDUs, per source.
     rrl: ReceiptLogs,
     /// Pre-acknowledged PDUs in causal order.
     prl: CausalLog,
-    /// Out-of-order PDUs awaiting gap repair (selective mode only).
-    reorder: ReorderBuffer,
-    /// Payloads waiting for the flow condition to open.
-    pending: VecDeque<Bytes>,
-    /// Which peers we have heard from since our last own transmission
-    /// (drives deferred confirmation).
-    heard_since_send: Vec<bool>,
-    /// Bumped whenever `req` changes. `REQ` entries are monotonic, so two
-    /// equal versions imply equal vectors — the O(1) advertisement check.
-    req_version: u64,
-    /// `(req_version, al.version())` as of our last confirmation-bearing
-    /// transmission (replaces storing the advertised vectors themselves).
-    advertised: (u64, u64),
     /// Scratch for draining the AL/PAL dirty-source sets (reused across
     /// events; never allocates past construction).
     pack_scratch: Vec<u32>,
     /// Memoized "`minPAL_j >= REQ_j` for every `j`" result, keyed by
-    /// `(req_version, pal.version())`, so idle stability checks are O(1).
+    /// `(fifo.version(), pal.version())`, so idle stability checks are
+    /// O(1).
     stable_cache: Cell<(u64, u64, bool)>,
-    /// Outstanding `RET` per source: `(lseq, when_sent_us)`.
-    ret_outstanding: Vec<Option<(Seq, u64)>>,
-    /// Set when a peer's confirmation shows it lags our knowledge — we owe
-    /// it an `AckOnly` reply (stability convergence; see DESIGN.md).
-    peer_needs_update: bool,
-    /// Last time this entity transmitted anything, in µs.
-    last_send_us: u64,
-    /// High-water mark of protocol-buffer occupancy, in PDUs.
-    peak_held_pdus: usize,
-    metrics: Metrics,
 }
 
 impl CoCore {
-    /// Creates the core in its initial state (all sequence numbers at 1,
-    /// empty logs — Example 4.1's starting point).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for a valid [`Config`]; the `Result` keeps
-    /// room for stateful initialization failures.
-    pub fn new(config: Config) -> Result<Self, ConfigError> {
-        let n = config.n();
-        Ok(CoCore {
-            req: vec![Seq::FIRST; n],
-            al: KnowledgeMatrix::new(n),
-            pal: KnowledgeMatrix::new(n),
-            buf_known: vec![config.buffer_units; n],
-            sl: SendLog::new(),
-            rrl: ReceiptLogs::new(n),
-            prl: CausalLog::new(),
-            reorder: ReorderBuffer::new(n),
-            pending: VecDeque::new(),
-            heard_since_send: vec![false; n],
-            req_version: 0,
-            advertised: (0, 0),
-            pack_scratch: Vec::with_capacity(n),
-            stable_cache: Cell::new((u64::MAX, u64::MAX, false)),
-            ret_outstanding: vec![None; n],
-            peer_needs_update: false,
-            last_send_us: 0,
-            peak_held_pdus: 0,
-            metrics: Metrics::default(),
-            config,
-        })
-    }
-
-    /// The current `REQ` vector.
-    pub fn req(&self) -> &[Seq] {
-        &self.req
-    }
-
     /// `minAL_j` — everything from `E_j` below this is known accepted
     /// everywhere.
     pub fn min_al(&self, source: EntityId) -> Seq {
@@ -133,506 +65,188 @@ impl CoCore {
         self.pal.row_min(source)
     }
 
-    fn held(&self) -> usize {
-        self.rrl.total_len() + self.prl.len() + self.reorder.total_len()
-    }
-
-    /// Memoized `∀j: minPAL_j >= REQ_j` (both sides are monotonic, so a
-    /// version match proves the inputs are unchanged).
-    fn pal_covers_req(&self) -> bool {
-        let key = (self.req_version, self.pal.version());
-        let (k0, k1, cached) = self.stable_cache.get();
-        if (k0, k1) == key {
-            return cached;
-        }
-        let covered = (0..self.config.n()).all(|j| {
-            let source = EntityId::new(j as u32);
-            self.pal.row_min(source) >= self.req[j]
-        });
-        self.stable_cache.set((key.0, key.1, covered));
-        covered
-    }
-
-    /// Interval for stability heartbeats: the coarser of the deferral
-    /// timeout and the RET retry interval, never zero.
-    fn heartbeat_interval(&self) -> u64 {
-        let deferral = match self.config.deferral {
-            DeferralPolicy::Immediate => 0,
-            DeferralPolicy::Deferred { timeout_us } => timeout_us,
+    /// Captures a serializable summary of the protocol state (see
+    /// [`crate::EntitySnapshot`]).
+    pub fn snapshot(&self, fifo: &ReliableFifo) -> EntitySnapshot {
+        let n = self.al.n();
+        let seqs = |f: &dyn Fn(EntityId) -> Seq| -> Vec<u64> {
+            (0..n).map(|j| f(EntityId::new(j as u32)).get()).collect()
         };
-        deferral.max(self.config.ret_retry_us).max(1)
+        EntitySnapshot {
+            id: self.me,
+            n,
+            req: fifo.frontier().iter().map(|s| s.get()).collect(),
+            min_al: seqs(&|j| self.al.row_min(j)),
+            min_pal: seqs(&|j| self.pal.row_min(j)),
+            rrl_pdus: self.rrl.total_len(),
+            prl_pdus: self.prl.len(),
+            reorder_pdus: fifo.reorder_len(),
+            send_log_pdus: fifo.send_log_len(),
+            pending_submits: fifo.pending_submits(),
+            free_buffer_units: fifo.free_buffer_units(self),
+            quiescent: fifo.is_quiescent(self),
+            fully_stable: fifo.is_fully_stable(self),
+            metrics: *fifo.metrics(),
+        }
+    }
+}
+
+impl DeliveryCore for CoCore {
+    type State = CoState;
+
+    const NAME: &'static str = "co";
+
+    fn new(config: &Config) -> Self {
+        let n = config.n();
+        CoCore {
+            me: config.me,
+            control_updates_al: config.control_updates_al,
+            al: KnowledgeMatrix::new(n),
+            pal: KnowledgeMatrix::new(n),
+            rrl: ReceiptLogs::new(n),
+            prl: CausalLog::new(),
+            pack_scratch: Vec::with_capacity(n),
+            stable_cache: Cell::new((u64::MAX, u64::MAX, false)),
+        }
     }
 
-    fn free_buf(&self) -> u32 {
-        let held = self.held() as u64 * u64::from(self.config.pdu_buf_units);
-        u32::try_from(u64::from(self.config.buffer_units).saturating_sub(held)).unwrap_or(0)
+    fn restore(config: &Config, state: CoState) -> Result<Self, ConfigError> {
+        let n = config.n();
+        ConfigError::check_len("al", state.al.len(), n * n)?;
+        ConfigError::check_len("pal", state.pal.len(), n * n)?;
+        ConfigError::check_len("rrl", state.rrl.len(), n)?;
+        let mut e = CoCore::new(config);
+        for s in 0..n {
+            let source = EntityId::new(s as u32);
+            for o in 0..n {
+                let observer = EntityId::new(o as u32);
+                e.al.raise(source, observer, state.al[s * n + o]);
+                e.pal.raise(source, observer, state.pal[s * n + o]);
+            }
+        }
+        for pdu in state.rrl.into_iter().flatten() {
+            e.rrl.accept(pdu);
+        }
+        // Re-inserting in exported (top-first) order reproduces the PRL
+        // exactly: the stored log is causality-preserved, so no element
+        // causally precedes an earlier one and every CPI insert appends.
+        for pdu in state.prl {
+            e.prl.insert(pdu);
+        }
+        Ok(e)
     }
 
-    fn min_buf(&self) -> u32 {
-        let me = self.config.me.index();
-        self.buf_known
-            .iter()
-            .enumerate()
-            .map(|(j, &b)| if j == me { self.free_buf() } else { b })
-            .min()
-            .expect("n >= 2")
+    fn export_state(&self) -> CoState {
+        let n = self.al.n();
+        let mut al = Vec::with_capacity(n * n);
+        let mut pal = Vec::with_capacity(n * n);
+        for s in 0..n {
+            let source = EntityId::new(s as u32);
+            for o in 0..n {
+                let observer = EntityId::new(o as u32);
+                al.push(self.al.get(source, observer));
+                pal.push(self.pal.get(source, observer));
+            }
+        }
+        CoState {
+            al,
+            pal,
+            rrl: (0..n)
+                .map(|j| {
+                    self.rrl
+                        .iter_source(EntityId::new(j as u32))
+                        .cloned()
+                        .collect()
+                })
+                .collect(),
+            prl: self.prl.iter().cloned().collect(),
+        }
     }
 
-    // ------------------------------------------------------------------
-    // PDU handling
-    // ------------------------------------------------------------------
+    fn observe(&mut self, pdu: &Pdu, fifo: &mut ReliableFifo) -> bool {
+        match pdu {
+            Pdu::Data(p) => {
+                self.al.fold_column(p.src, &p.ack);
+                // A sender trivially holds its own PDUs: anyone receiving
+                // `p` knows `src` has everything of its own up to `p.SEQ`
+                // (inference rule, DESIGN.md).
+                self.al.raise(p.src, p.src, p.seq.next());
+                false
+            }
+            Pdu::Ret(r) => {
+                if self.control_updates_al {
+                    self.al.fold_column(r.src, &r.ack);
+                }
+                false
+            }
+            Pdu::AckOnly(a) => {
+                if self.control_updates_al {
+                    self.al.fold_column(a.src, &a.ack);
+                    // `packed` is the sender's own pre-ack frontier —
+                    // exactly the semantics of a PAL column (see co-wire
+                    // docs and DESIGN.md).
+                    self.pal.fold_column(a.src, &a.packed);
+                    // `acked[j]` asserts the sender *knows* every entity
+                    // has pre-acknowledged `E_j`'s PDUs below it; adopt
+                    // that knowledge for every PAL column (same
+                    // honest-piggyback trust model as the paper's own PAL
+                    // mechanism). The batched raise short-circuits when
+                    // the row minima already cover the whole frontier (the
+                    // steady state), and otherwise lifts every row in one
+                    // sequential pass over the matrix instead of n strided
+                    // row walks.
+                    self.pal.raise_rows(&a.acked);
+                }
+                // The sender lags if any of its three vectors trails what
+                // we hold. The n row-min reads want clean caches.
+                self.al.flush();
+                self.pal.flush();
+                let req = fifo.frontier();
+                (0..req.len()).any(|j| {
+                    let source = EntityId::new(j as u32);
+                    a.ack[j] < req[j]
+                        || a.packed[j] < self.al.row_min(source)
+                        || a.acked[j] < self.pal.row_min(source)
+                })
+            }
+        }
+    }
 
-    fn on_data<O: Observer>(
+    /// `p`'s ACK vector and the sender's self-knowledge were already
+    /// folded into `AL` by [`CoCore::observe`] when the PDU arrived (that
+    /// fold is valid for *every* arriving PDU, buffered or accepted), so
+    /// only the acceptance itself — our own AL column mirroring `REQ` — is
+    /// recorded here.
+    fn accept<O: Observer, S: ActionSink>(
         &mut self,
         p: DataPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        _fifo: &mut ReliableFifo,
+        _out: &mut Out<'_, O, S>,
     ) {
-        let src = p.src;
-        // The piggybacked ACK vector is first-hand receipt information from
-        // `src`, valid whether or not `p` itself is acceptable (monotonic
-        // fold, so retransmissions with old vectors are harmless).
-        self.al.fold_column(src, &p.ack);
-        // A sender trivially holds its own PDUs: anyone receiving `p` knows
-        // `src` has everything of its own up to `p.SEQ` (inference rule,
-        // DESIGN.md).
-        self.al.raise(src, src, p.seq.next());
-        // Failure condition F2 over the ack vector.
-        self.scan_f2(src, &p.ack, false, now_us, observer, sink);
-
-        let expected = self.req[src.index()];
-        if p.seq < expected {
-            self.metrics.duplicates += 1;
-            observer.on_event(ProtocolEvent::Duplicate {
-                src,
-                seq: p.seq,
-                now_us,
-            });
-            return;
-        }
-        if p.seq > expected {
-            // Failure condition F1: gap [REQ_src, p.SEQ) lost.
-            self.metrics.f1_detections += 1;
-            observer.on_event(ProtocolEvent::F1Detected {
-                src,
-                expected,
-                got: p.seq,
-                now_us,
-            });
-            match self.config.retransmission {
-                RetransmissionPolicy::Selective => {
-                    let seq = p.seq;
-                    if self.reorder.store(p) {
-                        self.metrics.buffered_out_of_order += 1;
-                        observer.on_event(ProtocolEvent::ReorderEnter { src, seq, now_us });
-                    } else {
-                        self.metrics.duplicates += 1;
-                        observer.on_event(ProtocolEvent::Duplicate { src, seq, now_us });
-                    }
-                    self.send_ret(src, seq, now_us, observer, sink);
-                }
-                RetransmissionPolicy::GoBackN => {
-                    self.metrics.discarded_out_of_order += 1;
-                    observer.on_event(ProtocolEvent::OutOfOrderDiscarded {
-                        src,
-                        seq: p.seq,
-                        now_us,
-                    });
-                    self.send_ret(src, p.seq, now_us, observer, sink);
-                }
-            }
-            return;
-        }
-        // ACC condition holds.
-        self.accept_data(p, false, now_us, observer);
-        // Drain any consecutive run repaired by retransmissions.
-        loop {
-            let next = self.req[src.index()];
-            match self.reorder.take_exact(src, next) {
-                Some(q) => self.accept_data(q, true, now_us, observer),
-                None => break,
-            }
-        }
-        // The gap (or part of it) closed; drop a satisfied RET record.
-        if let Some((lseq, _)) = self.ret_outstanding[src.index()] {
-            if self.req[src.index()] >= lseq {
-                self.ret_outstanding[src.index()] = None;
-            }
-        }
-        self.reorder.drop_below(src, self.req[src.index()]);
-    }
-
-    /// The acceptance (ACC) action of §4.2.
-    ///
-    /// `p`'s ACK vector and the sender's self-knowledge were already folded
-    /// into `AL` by [`CoCore::on_data`] when the PDU arrived (that fold is
-    /// valid for *every* arriving PDU, buffered or accepted), so only the
-    /// acceptance itself — our own AL column mirroring `REQ` — is recorded
-    /// here.
-    fn accept_data<O: Observer>(
-        &mut self,
-        p: DataPdu,
-        from_reorder: bool,
-        now_us: u64,
-        observer: &mut O,
-    ) {
-        let src = p.src;
-        let seq = p.seq;
-        debug_assert_eq!(p.seq, self.req[src.index()], "ACC condition");
-        self.req[src.index()] = p.seq.next();
-        self.req_version += 1;
         // Own column of AL mirrors REQ (`AL[k][me] = REQ_k`).
-        self.al.raise(src, self.config.me, self.req[src.index()]);
+        self.al.raise(p.src, self.me, p.seq.next());
         self.rrl.accept(p);
-        self.metrics.accepted += 1;
-        if from_reorder {
-            self.metrics.accepted_from_reorder += 1;
-            observer.on_event(ProtocolEvent::ReorderExit { src, seq, now_us });
-        }
-        observer.on_event(ProtocolEvent::Accepted {
-            src,
-            seq,
-            from_reorder,
-            now_us,
-        });
     }
 
-    fn on_ret<O: Observer>(
+    /// The own PDU enters the receipt log like any other; it is *not*
+    /// announced as accepted (the event stream of the monolithic entity
+    /// never did).
+    fn sent<O: Observer, S: ActionSink>(
         &mut self,
-        r: RetPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
     ) {
-        if self.config.control_updates_al {
-            self.al.fold_column(r.src, &r.ack);
-        }
-        self.scan_f2(r.src, &r.ack, true, now_us, observer, sink);
-        if r.lsrc != self.config.me {
-            return;
-        }
-        // Retransmission action (§4.3): rebroadcast the requested range
-        // (selective) or everything from the first loss (go-back-n).
-        let from = r.ack[self.config.me.index()];
-        let to = match self.config.retransmission {
-            RetransmissionPolicy::Selective => r.lseq,
-            RetransmissionPolicy::GoBackN => self.req[self.config.me.index()],
-        };
-        let mut served = 0u64;
-        for pdu in self.sl.range(from, to) {
-            observer.on_event(ProtocolEvent::RetServed {
-                to: r.src,
-                seq: pdu.seq,
-                now_us,
-            });
-            sink.accept(Action::Broadcast(Pdu::Data(pdu.clone())));
-            served += 1;
-        }
-        self.metrics.retransmissions_sent += served;
-        let requested = to.get().saturating_sub(from.get());
-        if served < requested {
-            let amount = requested - served;
-            self.metrics.ret_unservable += amount;
-            observer.on_event(ProtocolEvent::RetUnservable { amount, now_us });
-        }
+        self.accept(p, fifo, out);
     }
 
-    fn on_ack_only<O: Observer>(
+    /// Pre-acknowledgment and acknowledgment (§4.4, §4.5).
+    fn sweep<O: Observer, S: ActionSink>(
         &mut self,
-        a: AckOnlyPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
     ) {
-        if self.config.control_updates_al {
-            self.al.fold_column(a.src, &a.ack);
-            // `packed` is the sender's own pre-ack frontier — exactly the
-            // semantics of a PAL column (see co-wire docs and DESIGN.md).
-            self.pal.fold_column(a.src, &a.packed);
-            // `acked[j]` asserts the sender *knows* every entity has
-            // pre-acknowledged `E_j`'s PDUs below it; adopt that knowledge
-            // for every PAL column (same honest-piggyback trust model as
-            // the paper's own PAL mechanism). The batched raise
-            // short-circuits when the row minima already cover the whole
-            // frontier (the steady state), and otherwise lifts every row
-            // in one sequential pass over the matrix instead of n strided
-            // row walks.
-            self.pal.raise_rows(&a.acked);
-        }
-        // If the sender lags our knowledge (it missed confirmations —
-        // possibly because ours were lost), owe it a refresher: this is the
-        // reply half of the stability-heartbeat convergence. The n row-min
-        // reads want clean caches.
-        self.al.flush();
-        self.pal.flush();
-        for j in 0..self.config.n() {
-            let source = EntityId::new(j as u32);
-            if a.ack[j] < self.req[j]
-                || a.packed[j] < self.al.row_min(source)
-                || a.acked[j] < self.pal.row_min(source)
-            {
-                self.peer_needs_update = true;
-                break;
-            }
-        }
-        self.scan_f2(a.src, &a.ack, true, now_us, observer, sink);
-    }
-
-    /// Failure condition F2 (§4.3): `q.ACK_j > REQ_j` proves PDUs from
-    /// `E_j` exist that we never received.
-    ///
-    /// For **data** PDUs the sender's own column is excluded as in the
-    /// paper (`j ≠ k`): there `ack[src] == p.SEQ` and condition F1 already
-    /// covers it. For **control** PDUs (`RET`, `AckOnly`) the sender's own
-    /// column must be included: `ack[src]` is the sender's next own
-    /// sequence number, and it is the *only* evidence of loss when a tail
-    /// of data PDUs was dropped at every receiver (no later data PDU to
-    /// trigger F1, no third-party acceptance to trigger classic F2).
-    fn scan_f2<O: Observer>(
-        &mut self,
-        from: EntityId,
-        ack: &[Seq],
-        include_sender_column: bool,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        for (j, &confirmed) in ack.iter().enumerate().take(self.config.n()) {
-            let source = EntityId::new(j as u32);
-            if source == self.config.me || (source == from && !include_sender_column) {
-                continue;
-            }
-            if confirmed > self.req[j] {
-                self.metrics.f2_detections += 1;
-                observer.on_event(ProtocolEvent::F2Detected {
-                    src: source,
-                    confirmed,
-                    via: from,
-                    now_us,
-                });
-                self.send_ret(source, confirmed, now_us, observer, sink);
-            }
-        }
-    }
-
-    /// Broadcasts a `RET` for the gap `[REQ_source, lseq)`, with
-    /// deduplication: while a request covering the gap is outstanding and
-    /// fresh, new detections are suppressed. The range is clamped at the
-    /// first *buffered* sequence number — PDUs sitting in the reorder
-    /// buffer were received, so only the missing prefix needs resending
-    /// (the point of selective retransmission).
-    fn send_ret<O: Observer>(
-        &mut self,
-        source: EntityId,
-        lseq: Seq,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        debug_assert_ne!(source, self.config.me);
-        let lseq = match self.reorder.buffered(source).next() {
-            Some(first_buffered) => lseq.min(first_buffered),
-            None => lseq,
-        };
-        if lseq <= self.req[source.index()] {
-            return; // nothing actually missing
-        }
-        let slot = &mut self.ret_outstanding[source.index()];
-        if let Some((prev_lseq, when)) = *slot {
-            let fresh = now_us.saturating_sub(when) < self.config.ret_retry_us;
-            if fresh && lseq <= prev_lseq {
-                self.metrics.ret_suppressed += 1;
-                observer.on_event(ProtocolEvent::RetSuppressed {
-                    src: source,
-                    lseq,
-                    now_us,
-                });
-                return;
-            }
-        }
-        *slot = Some((lseq, now_us));
-        let ret = RetPdu {
-            cid: self.config.cluster.cid,
-            src: self.config.me,
-            lsrc: source,
-            lseq,
-            ack: self.req.clone(),
-            buf: self.free_buf(),
-        };
-        self.metrics.ret_sent += 1;
-        observer.on_event(ProtocolEvent::RetSent {
-            src: source,
-            lseq,
-            now_us,
-        });
-        sink.accept(Action::Broadcast(Pdu::Ret(ret)));
-    }
-
-    // ------------------------------------------------------------------
-    // Transmission
-    // ------------------------------------------------------------------
-
-    fn flow_open(&self) -> bool {
-        let me = self.config.me;
-        matches!(
-            flow_decision(
-                self.req[me.index()],
-                self.al.row_min(me),
-                self.config.window,
-                self.min_buf(),
-                self.config.pdu_buf_units,
-                self.config.n(),
-            ),
-            FlowDecision::Open
-        )
-    }
-
-    /// The transmission action of §4.2. Returns the assigned sequence
-    /// number.
-    fn broadcast_data<O: Observer>(
-        &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Seq {
-        let me = self.config.me;
-        let seq = self.req[me.index()];
-        let pdu = DataPdu {
-            cid: self.config.cluster.cid,
-            src: me,
-            seq,
-            ack: self.req.clone(),
-            buf: self.free_buf(),
-            data,
-        };
-        // Self-acceptance: the entity's own PDU enters its receipt path so
-        // it is delivered to the local application in causal position.
-        self.req[me.index()] = seq.next();
-        self.req_version += 1;
-        self.al.raise(me, me, self.req[me.index()]);
-        self.sl.record(pdu.clone());
-        self.rrl.accept(pdu.clone());
-        self.metrics.data_sent += 1;
-        observer.on_event(ProtocolEvent::DataSent {
-            src: me,
-            seq,
-            now_us,
-        });
-        sink.accept(Action::Broadcast(Pdu::Data(pdu)));
-        // A data PDU carries our REQ vector (and, through the PAL
-        // mechanism, eventually our pre-ack state): count it as an
-        // advertisement.
-        self.mark_advertised(now_us);
-        seq
-    }
-
-    fn try_flush_pending<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        if self.pending.is_empty() || !self.flow_open() {
-            return;
-        }
-        observer.on_event(ProtocolEvent::FlowOpened { now_us });
-        while !self.pending.is_empty() && self.flow_open() {
-            let data = self.pending.pop_front().expect("checked non-empty");
-            self.broadcast_data(data, now_us, observer, sink);
-            self.run_pack_ack(now_us, observer, sink);
-        }
-    }
-
-    /// Whether `REQ` or the pre-ack frontier moved since our last
-    /// confirmation-bearing transmission. O(1): both quantities are
-    /// monotonic, so version equality is value equality.
-    fn unadvertised(&self) -> bool {
-        self.advertised != (self.req_version, self.al.version())
-    }
-
-    fn mark_advertised(&mut self, now_us: u64) {
-        self.advertised = (self.req_version, self.al.version());
-        self.heard_since_send.fill(false);
-        self.last_send_us = now_us;
-    }
-
-    /// Pacing for lag replies and stability heartbeats: without it, two
-    /// mutually lagging entities would answer each other's answers forever.
-    fn reply_pace_us(&self) -> u64 {
-        self.heartbeat_interval() / 2 + 1
-    }
-
-    fn maybe_confirm<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        // `unadvertised` compares AL versions, which only reflect flushed
-        // state; resolve any deferred row-min changes first so a frontier
-        // move can't hide from the advertisement check.
-        self.al.flush();
-        if self.peer_needs_update
-            && now_us.saturating_sub(self.last_send_us) >= self.reply_pace_us()
-        {
-            self.peer_needs_update = false;
-            self.send_ack_only(now_us, observer, sink);
-            return;
-        }
-        if !self.unadvertised() {
-            return;
-        }
-        let should = match self.config.deferral {
-            DeferralPolicy::Immediate => true,
-            DeferralPolicy::Deferred { .. } => {
-                // The paper's trigger: heard from every other entity since
-                // our last transmission.
-                self.config
-                    .cluster
-                    .peers(self.config.me)
-                    .all(|p| self.heard_since_send[p.index()])
-            }
-        };
-        if should {
-            self.send_ack_only(now_us, observer, sink);
-        }
-    }
-
-    fn send_ack_only<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        // `row_mins` returns the cached slices, exact only after a flush.
-        self.al.flush();
-        self.pal.flush();
-        let pdu = AckOnlyPdu {
-            cid: self.config.cluster.cid,
-            src: self.config.me,
-            ack: self.req.clone(),
-            packed: self.al.row_mins().to_vec(),
-            acked: self.pal.row_mins().to_vec(),
-            buf: self.free_buf(),
-        };
-        self.metrics.ack_only_sent += 1;
-        observer.on_event(ProtocolEvent::AckOnlySent { now_us });
-        sink.accept(Action::Broadcast(Pdu::AckOnly(pdu)));
-        self.mark_advertised(now_us);
-    }
-
-    // ------------------------------------------------------------------
-    // Pre-acknowledgment and acknowledgment (§4.4, §4.5)
-    // ------------------------------------------------------------------
-
-    fn run_pack_ack<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
+        let now_us = out.now_us;
         // PACK action: move everything below minAL from RRL to PRL.
         //
         // Only sources whose `minAL` moved since the last run can have
@@ -642,7 +256,9 @@ impl CoCore {
         // row minimum. The AL dirty set records exactly those rows, making
         // this scan O(dirty) instead of O(n) per event. The drained rows
         // are sorted so coincident PDUs from different sources enter the
-        // PRL in the same (index) order the full scan used.
+        // PRL in the same (index) order the full scan used. Draining also
+        // flushes AL, which is what lets the substrate compare
+        // `knowledge_version`s afterwards.
         let mut scratch = std::mem::take(&mut self.pack_scratch);
         scratch.clear();
         self.al.drain_dirty_into(&mut scratch);
@@ -655,16 +271,16 @@ impl CoCore {
                 // PAL update: p's confirmations, recorded at pre-ack time
                 // (§4.5), plus our own pre-ack frontier for this source.
                 self.pal.fold_column(source, &p.ack);
-                self.pal.raise(source, self.config.me, p.seq.next());
-                self.metrics.pre_acknowledged += 1;
+                self.pal.raise(source, self.me, p.seq.next());
+                fifo.metrics.pre_acknowledged += 1;
                 let seq = p.seq;
-                observer.on_event(ProtocolEvent::PreAcked {
+                out.event(ProtocolEvent::PreAcked {
                     src: source,
                     seq,
                     now_us,
                 });
                 let position = self.prl.insert(p);
-                observer.on_event(ProtocolEvent::CpiInserted {
+                out.event(ProtocolEvent::CpiInserted {
                     src: source,
                     seq,
                     position: position as u64,
@@ -678,7 +294,7 @@ impl CoCore {
         // (the test profile keeps debug assertions on) verify no source
         // still has a packable RRL top.
         #[cfg(debug_assertions)]
-        for j in 0..self.config.n() {
+        for j in 0..self.al.n() {
             let source = EntityId::new(j as u32);
             let min_al = self.al.row_min(source);
             debug_assert!(
@@ -690,367 +306,65 @@ impl CoCore {
         // PACK loop's PAL folds deferred their min-cache rescans; resolve
         // them once here so the per-PDU `minPAL` reads below are O(1).
         self.pal.flush();
-        while let Some(top) = self.prl.top() {
-            if top.seq < self.pal.row_min(top.src) {
-                let p = self.prl.dequeue().expect("top checked");
-                self.metrics.delivered += 1;
-                observer.on_event(ProtocolEvent::Delivered {
-                    src: p.src,
-                    seq: p.seq,
-                    now_us,
-                });
-                sink.accept(Action::Deliver(Delivery {
-                    src: p.src,
-                    seq: p.seq,
-                    ack: p.ack,
-                    data: p.data,
-                }));
-            } else {
-                break;
-            }
+        while matches!(self.prl.top(), Some(top) if top.seq < self.pal.row_min(top.src)) {
+            let p = self.prl.dequeue().expect("top checked");
+            fifo.deliver(p, out);
         }
         // Our own acknowledged PDUs can never be RET-requested again.
-        self.sl.prune_below(self.pal.row_min(self.config.me));
+        fifo.prune_send_log(self.pal.row_min(self.me));
     }
 
-    fn note_peak(&mut self) {
-        self.peak_held_pdus = self.peak_held_pdus.max(self.held());
+    fn confirmed_of_me(&self, _fifo: &ReliableFifo) -> Seq {
+        self.al.row_min(self.me)
     }
 
-    /// Captures a serializable summary of the protocol state (see
-    /// [`crate::EntitySnapshot`]).
-    pub fn snapshot(&self) -> crate::snapshot::EntitySnapshot {
-        let n = self.config.n();
-        let seqs = |f: &dyn Fn(EntityId) -> Seq| -> Vec<u64> {
-            (0..n).map(|j| f(EntityId::new(j as u32)).get()).collect()
-        };
-        crate::snapshot::EntitySnapshot {
-            id: self.config.me,
-            n,
-            req: self.req.iter().map(|s| s.get()).collect(),
-            min_al: seqs(&|j| self.al.row_min(j)),
-            min_pal: seqs(&|j| self.pal.row_min(j)),
-            rrl_pdus: self.rrl.total_len(),
-            prl_pdus: self.prl.len(),
-            reorder_pdus: self.reorder.total_len(),
-            send_log_pdus: self.sl.len(),
-            pending_submits: self.pending.len(),
-            free_buffer_units: self.free_buf(),
-            quiescent: self.is_quiescent(),
-            fully_stable: self.is_fully_stable(),
-            metrics: self.metrics,
-        }
-    }
-}
-
-/// Approximate heap footprint of one buffered [`DataPdu`]: the struct,
-/// its ack vector and its payload.
-pub(crate) fn pdu_bytes(n: usize, payload: usize) -> usize {
-    std::mem::size_of::<DataPdu>() + n * std::mem::size_of::<Seq>() + payload
-}
-
-impl DeliveryCore for CoCore {
-    type State = crate::snapshot::EntityState;
-
-    const NAME: &'static str = "co";
-    const GUARANTEE: Guarantee = Guarantee::Causal;
-
-    fn new(config: Config) -> Result<Self, ConfigError> {
-        CoCore::new(config)
+    /// `packed` is the pre-ack frontier `minAL`, `acked` the
+    /// acknowledgment frontier `minPAL`.
+    fn confirmation(&mut self, _fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+        // `row_mins` returns the cached slices, exact only after a flush.
+        self.al.flush();
+        self.pal.flush();
+        (self.al.row_mins().to_vec(), self.pal.row_mins().to_vec())
     }
 
-    fn restore(config: Config, state: Self::State) -> Result<Self, ConfigError> {
-        let mut e = CoCore::new(config)?;
-        let n = e.config.n();
-        assert_eq!(state.req.len(), n, "state/config cluster size mismatch");
-        assert_eq!(state.al.len(), n * n, "AL dimension mismatch");
-        assert_eq!(state.pal.len(), n * n, "PAL dimension mismatch");
-        assert_eq!(state.buf_known.len(), n, "buf_known length mismatch");
-        assert_eq!(state.rrl.len(), n, "RRL source count mismatch");
-        assert_eq!(state.reorder.len(), n, "reorder source count mismatch");
-        assert_eq!(state.heard_since_send.len(), n, "heard flags mismatch");
-        assert_eq!(state.ret_outstanding.len(), n, "RET records mismatch");
-        e.req = state.req;
-        e.req_version = 1;
-        for s in 0..n {
-            let source = EntityId::new(s as u32);
-            for o in 0..n {
-                let observer = EntityId::new(o as u32);
-                e.al.raise(source, observer, state.al[s * n + o]);
-                e.pal.raise(source, observer, state.pal[s * n + o]);
-            }
-        }
-        e.buf_known = state.buf_known;
-        for pdu in state.send_log {
-            e.sl.record(pdu);
-        }
-        for log in state.rrl {
-            for pdu in log {
-                e.rrl.accept(pdu);
-            }
-        }
-        // Re-inserting in exported (top-first) order reproduces the PRL
-        // exactly: the stored log is causality-preserved, so no element
-        // causally precedes an earlier one and every CPI insert appends.
-        for pdu in state.prl {
-            e.prl.insert(pdu);
-        }
-        for buffer in state.reorder {
-            for pdu in buffer {
-                e.reorder.store(pdu);
-            }
-        }
-        e.pending = state.pending.into();
-        e.heard_since_send = state.heard_since_send;
-        e.ret_outstanding = state.ret_outstanding;
-        e.peer_needs_update = state.peer_needs_update;
-        e.last_send_us = state.last_send_us;
-        e.peak_held_pdus = state.peak_held_pdus;
-        e.metrics = state.metrics;
-        // Never equal to a real (req_version, al.version()) pair: the
-        // restored core owes the cluster a fresh advertisement.
-        e.advertised = (u64::MAX, u64::MAX);
-        Ok(e)
+    /// The pre-ack frontier is advertised too. AL versions only reflect
+    /// flushed state; every fold is followed by a [`CoCore::sweep`], whose
+    /// drain resolves deferred row-min changes, so a frontier move cannot
+    /// hide from the advertisement check.
+    fn knowledge_version(&self) -> u64 {
+        self.al.version()
     }
 
-    /// Captures the *complete* protocol state for crash-restart simulation
-    /// (see [`crate::EntityState`]).
-    fn export_state(&self) -> Self::State {
-        let n = self.config.n();
-        let mut al = Vec::with_capacity(n * n);
-        let mut pal = Vec::with_capacity(n * n);
-        for s in 0..n {
-            let source = EntityId::new(s as u32);
-            for o in 0..n {
-                let observer = EntityId::new(o as u32);
-                al.push(self.al.get(source, observer));
-                pal.push(self.pal.get(source, observer));
-            }
-        }
-        crate::snapshot::EntityState {
-            req: self.req.clone(),
-            al,
-            pal,
-            buf_known: self.buf_known.clone(),
-            send_log: self.sl.iter().cloned().collect(),
-            rrl: (0..n)
-                .map(|j| {
-                    self.rrl
-                        .iter_source(EntityId::new(j as u32))
-                        .cloned()
-                        .collect()
-                })
-                .collect(),
-            prl: self.prl.iter().cloned().collect(),
-            reorder: (0..n)
-                .map(|j| {
-                    self.reorder
-                        .pdus(EntityId::new(j as u32))
-                        .cloned()
-                        .collect()
-                })
-                .collect(),
-            pending: self.pending.iter().cloned().collect(),
-            heard_since_send: self.heard_since_send.clone(),
-            ret_outstanding: self.ret_outstanding.clone(),
-            peer_needs_update: self.peer_needs_update,
-            last_send_us: self.last_send_us,
-            peak_held_pdus: self.peak_held_pdus,
-            metrics: self.metrics,
-        }
+    fn held(&self) -> usize {
+        self.rrl.total_len() + self.prl.len()
     }
 
-    fn config(&self) -> &Config {
-        &self.config
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn state_bytes(&self) -> usize {
-        let n = self.config.n();
-        let seq = std::mem::size_of::<Seq>();
-        // Two n×n matrices plus their row-min caches, REQ/BUF vectors and
-        // per-source bookkeeping.
-        let knowledge = 2 * (n * n + 2 * n) * seq;
-        let vectors = n * seq                    // req
-            + n * std::mem::size_of::<u32>()     // buf_known
-            + n                                  // heard_since_send
-            + n * std::mem::size_of::<Option<(Seq, u64)>>(); // ret_outstanding
-        let buffered: usize = self
-            .sl
-            .iter()
-            .chain((0..n).flat_map(|j| self.rrl.iter_source(EntityId::new(j as u32))))
+    fn state_bytes(&self, n: usize) -> usize {
+        // Two n×n matrices plus their row-min caches.
+        let knowledge = 2 * (n * n + 2 * n) * std::mem::size_of::<Seq>();
+        let buffered: usize = (0..n)
+            .flat_map(|j| self.rrl.iter_source(EntityId::new(j as u32)))
             .chain(self.prl.iter())
-            .chain((0..n).flat_map(|j| self.reorder.pdus(EntityId::new(j as u32))))
             .map(|p| pdu_bytes(n, p.data.len()))
             .sum();
-        knowledge + vectors + buffered
+        knowledge + buffered
     }
 
-    fn held_pdus(&self) -> usize {
-        self.held()
-    }
-
-    fn peak_held_pdus(&self) -> usize {
-        self.peak_held_pdus
-    }
-
-    fn pending_submits(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.held() == 0 && self.pending.is_empty()
-    }
-
-    /// O(1) on idle ticks: the `minPAL >= REQ` sweep is memoized on the
-    /// `(REQ, PAL)` version pair and recomputed only after either moved.
-    fn is_fully_stable(&self) -> bool {
-        self.is_quiescent() && self.pal_covers_req()
-    }
-
-    fn free_buffer_units(&self) -> u32 {
-        self.free_buf()
-    }
-
-    fn submit<O: Observer>(
-        &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Result<SubmitOutcome, ProtocolError> {
-        if data.len() > self.config.max_payload {
-            return Err(ProtocolError::PayloadTooLarge {
-                size: data.len(),
-                max: self.config.max_payload,
-            });
+    /// Memoized `∀j: minPAL_j >= REQ_j` (both sides are monotonic, so a
+    /// version match proves the inputs are unchanged): O(1) on idle ticks,
+    /// recomputed only after either moved.
+    fn is_stable(&self, fifo: &ReliableFifo) -> bool {
+        let key = (fifo.version(), self.pal.version());
+        let (k0, k1, cached) = self.stable_cache.get();
+        if (k0, k1) == key {
+            return cached;
         }
-        if self.pending.is_empty() && self.flow_open() {
-            observer.on_event(ProtocolEvent::Submitted { now_us });
-            let seq = self.broadcast_data(data, now_us, observer, sink);
-            self.run_pack_ack(now_us, observer, sink);
-            Ok(SubmitOutcome::Sent(seq))
-        } else {
-            if self.pending.len() >= MAX_QUEUED_SUBMITS {
-                return Err(ProtocolError::SubmitQueueFull {
-                    limit: MAX_QUEUED_SUBMITS,
-                });
-            }
-            observer.on_event(ProtocolEvent::Submitted { now_us });
-            observer.on_event(ProtocolEvent::FlowClosed { now_us });
-            let me = self.config.me;
-            observer.on_event(ProtocolEvent::FlowBlocked {
-                outstanding: self.req[me.index()].get() - self.al.row_min(me).get(),
-                limit: flow_limit(
-                    self.config.window,
-                    self.min_buf(),
-                    self.config.pdu_buf_units,
-                    self.config.n(),
-                ),
-                now_us,
-            });
-            self.pending.push_back(data);
-            self.metrics.flow_blocked += 1;
-            Ok(SubmitOutcome::Queued)
-        }
-    }
-
-    fn on_validated_pdu<O: Observer>(
-        &mut self,
-        pdu: Pdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        let from = pdu.src();
-        self.heard_since_send[from.index()] = true;
-        self.buf_known[from.index()] = pdu.buf();
-        match pdu {
-            Pdu::Data(p) => self.on_data(p, now_us, observer, sink),
-            Pdu::Ret(r) => self.on_ret(r, now_us, observer, sink),
-            Pdu::AckOnly(a) => self.on_ack_only(a, now_us, observer, sink),
-        }
-        self.run_pack_ack(now_us, observer, sink);
-        self.try_flush_pending(now_us, observer, sink);
-    }
-
-    fn end_batch<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        self.maybe_confirm(now_us, observer, sink);
-        self.note_peak();
-    }
-
-    fn on_tick<O: Observer>(&mut self, now_us: u64, observer: &mut O, sink: &mut impl ActionSink) {
-        // Deferred-confirmation fallback ("or after some time units").
-        let timeout = match self.config.deferral {
-            DeferralPolicy::Immediate => 0,
-            DeferralPolicy::Deferred { timeout_us } => timeout_us,
-        };
-        if self.peer_needs_update
-            && now_us.saturating_sub(self.last_send_us) >= self.reply_pace_us()
-        {
-            // Deferred lag reply (paced; see maybe_confirm).
-            self.peer_needs_update = false;
-            self.send_ack_only(now_us, observer, sink);
-        } else if self.unadvertised() && now_us.saturating_sub(self.last_send_us) >= timeout {
-            self.send_ack_only(now_us, observer, sink);
-        } else if !self.is_fully_stable()
-            && now_us.saturating_sub(self.last_send_us) >= self.heartbeat_interval()
-        {
-            // Stability heartbeat: something is still in flight (ours or a
-            // peer's); keep re-advertising so tail losses surface via F2.
-            self.send_ack_only(now_us, observer, sink);
-        }
-        // RET retry for gaps that persist (the RET or the retransmission
-        // itself may have been lost).
-        for j in 0..self.config.n() {
-            let source = EntityId::new(j as u32);
-            let Some((lseq, when)) = self.ret_outstanding[j] else {
-                continue;
-            };
-            if self.req[j] >= lseq {
-                self.ret_outstanding[j] = None;
-                continue;
-            }
-            if now_us.saturating_sub(when) >= self.config.ret_retry_us {
-                self.ret_outstanding[j] = None; // force re-send
-                self.send_ret(source, lseq, now_us, observer, sink);
-            }
-        }
-        self.note_peak();
-    }
-
-    fn next_deadline(&self, _now_us: u64) -> Option<u64> {
-        let mut deadline: Option<u64> = None;
-        let mut consider = |t: u64| {
-            deadline = Some(deadline.map_or(t, |d: u64| d.min(t)));
-        };
-        if self.peer_needs_update {
-            consider(self.last_send_us.saturating_add(self.reply_pace_us()));
-        }
-        if self.unadvertised() {
-            let timeout = match self.config.deferral {
-                DeferralPolicy::Immediate => 0,
-                DeferralPolicy::Deferred { timeout_us } => timeout_us,
-            };
-            consider(self.last_send_us.saturating_add(timeout));
-        } else if !self.is_fully_stable() {
-            consider(self.last_send_us.saturating_add(self.heartbeat_interval()));
-        }
-        for j in 0..self.config.n() {
-            if let Some((lseq, when)) = self.ret_outstanding[j] {
-                if self.req[j] < lseq {
-                    consider(when.saturating_add(self.config.ret_retry_us));
-                }
-            }
-        }
-        deadline
+        let covered = fifo
+            .frontier()
+            .iter()
+            .enumerate()
+            .all(|(j, &req)| self.pal.row_min(EntityId::new(j as u32)) >= req);
+        self.stable_cache.set((key.0, key.1, covered));
+        covered
     }
 }

@@ -26,6 +26,16 @@ impl DeferralPolicy {
     pub const fn deferred_default() -> Self {
         DeferralPolicy::Deferred { timeout_us: 5_000 }
     }
+
+    /// How long an unadvertised frontier may wait for the "heard from
+    /// everyone" trigger before a confirmation goes out anyway, in
+    /// microseconds (`0` under [`DeferralPolicy::Immediate`]).
+    pub const fn timeout_us(self) -> u64 {
+        match self {
+            DeferralPolicy::Immediate => 0,
+            DeferralPolicy::Deferred { timeout_us } => timeout_us,
+        }
+    }
 }
 
 /// How lost PDUs are retransmitted.
@@ -236,6 +246,33 @@ pub enum ConfigError {
         /// Which timer: `"ret_retry"` or `"deferral"`.
         timer: &'static str,
     },
+    /// Exported state handed to [`crate::Entity::restore`] does not have
+    /// the dimensions this configuration's cluster size requires (state
+    /// must be restored under the configuration it was exported under).
+    StateMismatch {
+        /// The offending state field.
+        field: &'static str,
+        /// Entries the cluster size requires.
+        expected: usize,
+        /// Entries the state holds.
+        got: usize,
+    },
+}
+
+impl ConfigError {
+    /// `Ok` when a restored state vector has the length the cluster size
+    /// requires, [`ConfigError::StateMismatch`] naming `field` otherwise.
+    pub fn check_len(field: &'static str, got: usize, expected: usize) -> Result<(), ConfigError> {
+        if got == expected {
+            Ok(())
+        } else {
+            Err(ConfigError::StateMismatch {
+                field,
+                expected,
+                got,
+            })
+        }
+    }
 }
 
 impl std::fmt::Display for ConfigError {
@@ -253,6 +290,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroTimerPeriod { timer } => {
                 write!(f, "{timer} timer period must be positive")
             }
+            ConfigError::StateMismatch {
+                field,
+                expected,
+                got,
+            } => write!(
+                f,
+                "restored state does not fit the cluster: {field} has {got} entries, expected {expected}"
+            ),
         }
     }
 }

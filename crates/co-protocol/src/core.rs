@@ -1,11 +1,19 @@
-//! The pluggable delivery-core abstraction.
+//! The pluggable ordering-policy abstraction.
 //!
-//! Everything between "validated PDU in" and "ordered delivery + protocol
-//! actions out" — the acceptance test, buffering/reordering, ack
-//! bookkeeping and flow gating — lives behind the [`DeliveryCore`] trait.
-//! The [`crate::Entity`] shell owns what is *not* ordering-specific: input
-//! validation, observer plumbing and the batching loop, all of which are
-//! identical no matter how delivery is decided.
+//! The paper's §4 is two separable things, and this crate keeps them
+//! apart:
+//!
+//! * **below the seam** — a loss-repaired per-source FIFO stream: the ACC
+//!   condition, failure conditions F1/F2, the `RET` service, the flow
+//!   condition and deferred confirmation (§4.2–4.3). One implementation,
+//!   [`ReliableFifo`], shared by every core;
+//! * **above the seam** — the ordering decision over that stream and the
+//!   knowledge state it needs (§4.4–4.5 for the reference core). This is
+//!   what a [`DeliveryCore`] implements, through the narrow hook set
+//!   below.
+//!
+//! The [`crate::Entity`] shell owns what is neither: input validation and
+//! observer plumbing.
 //!
 //! Three cores ship with this crate:
 //!
@@ -23,212 +31,205 @@
 //!   receivers deliver on (FIFO) arrival.
 //!
 //! All three speak the same `co-wire` PDU vocabulary (DATA / RET /
-//! AckOnly), reuse the same loss-detection conditions (F1 sequence gaps,
-//! F2 ack-vector evidence) and the same selective-retransmission machinery
-//! — so `co-check` can race them under identical schedules and oracles,
-//! and `co-bench`'s `core_matrix` suite can price them head-to-head.
+//! AckOnly) because the substrate does the speaking — so `co-check` can
+//! race them under identical schedules and oracles, and `co-bench`'s
+//! `core_matrix` suite can price them head-to-head.
 //!
 //! # Contract
 //!
 //! A core is a deterministic sans-IO state machine: no clocks, no IO, no
-//! randomness. Time is the caller-supplied microsecond counter. For a
-//! fixed input sequence (submits, validated PDUs, ticks) a core must
-//! produce the identical action and event streams on every run — that is
-//! what makes `co-check`'s digest-determinism oracle meaningful.
+//! randomness. For a fixed sequence of hook calls a core must make the
+//! identical decisions and emit the identical event and action streams on
+//! every run — that is what makes `co-check`'s digest-determinism oracle
+//! meaningful.
 //!
-//! What each callback may do:
+//! When the substrate calls which hook, for one validated PDU:
 //!
-//! * [`DeliveryCore::submit`] — assign the payload a sequence number and
-//!   broadcast it, or queue it (flow/ordering gate closed). May emit any
-//!   actions and events.
-//! * [`DeliveryCore::on_validated_pdu`] — the per-element half of receive
-//!   processing. The shell has already validated the PDU (cluster id,
-//!   source range, vector lengths, not looped back). The core must fully
-//!   integrate the PDU — acceptance test, loss detection, retransmission
-//!   service, delivery — but should defer *batch-amortizable* work
-//!   (confirmation emission, gauge updates) to `end_batch`.
-//! * [`DeliveryCore::end_batch`] — the per-batch epilogue, called once
-//!   after one or more `on_validated_pdu` calls. A single-PDU receive is
-//!   exactly `on_validated_pdu` + `end_batch`; batching N PDUs calls the
-//!   element half N times and the epilogue once. Cores must keep protocol
-//!   state and the DATA/RET/Deliver streams identical either way — only
-//!   confirmation (`AckOnly`) timing and count may differ.
-//! * [`DeliveryCore::on_tick`] — timers only: deferred confirmations,
-//!   heartbeats, RET retries. Must be idempotent for the same `now_us`.
+//! 1. [`DeliveryCore::observe`] — fold the PDU's vectors into knowledge
+//!    (valid for *every* arriving PDU, acceptable or not);
+//! 2. F2 detection, then — for a data PDU — duplicate/F1 handling or, if
+//!    the ACC condition holds, [`DeliveryCore::accept`] for it and for
+//!    every PDU the reorder buffer releases behind it;
+//! 3. [`DeliveryCore::sweep`] — promote and deliver what became ready;
+//! 4. queued submissions go out while the flow condition and
+//!    [`DeliveryCore::gate_open`] hold, each through
+//!    [`DeliveryCore::sent`]; one more `sweep` follows the last.
 //!
-//! State ownership: the core owns *all* ordering state and exports it
-//! losslessly through [`DeliveryCore::export_state`] /
-//! [`DeliveryCore::restore`] (the crash-restart path — the paper's
-//! failure model is PDU loss, not amnesia). The shell owns nothing but
-//! the observer.
+//! Steps 1–4 run per PDU even inside a batch, deliberately: the delivery
+//! interleaving must be identical to feeding the PDUs one at a time. What
+//! a batch amortizes is the substrate's epilogue (one confirmation per
+//! batch instead of one per PDU, built from
+//! [`DeliveryCore::confirmation`]). A submit is step 4 for one payload; a
+//! tick only asks the core for a `confirmation` (and re-tries step 4 under
+//! [`DeliveryCore::FLUSH_ON_TICK`]).
+//!
+//! State ownership: the core owns its knowledge and its ordering buffers
+//! and exports them losslessly through [`DeliveryCore::export_state`] /
+//! [`DeliveryCore::restore`]; the substrate exports the rest (the
+//! crash-restart path — the paper's failure model is PDU loss, not
+//! amnesia).
 
-use bytes::Bytes;
-use co_wire::Pdu;
+use causal_order::Seq;
+use co_wire::{DataPdu, Pdu};
 
-use crate::actions::{ActionSink, SubmitOutcome};
+use crate::actions::{Action, ActionSink};
 use crate::config::{Config, ConfigError};
-use crate::error::ProtocolError;
-use crate::metrics::Metrics;
-use co_observe::Observer;
+use crate::fifo::ReliableFifo;
+use co_observe::{Observer, ProtocolEvent};
 
-/// Upper bound on payloads queued while a core's send gate is closed
-/// (flow condition, sender-side causal delay, …).
+/// Upper bound on payloads queued while the send gate is closed (flow
+/// condition, sender-side causal delay, …).
 pub const MAX_QUEUED_SUBMITS: usize = 1 << 16;
 
-/// The ordering guarantee a [`DeliveryCore`] provides, from weakest to
-/// strongest. `co-check` parameterizes its causality oracle on this: a
-/// FIFO-only core is exempt from the cross-source causality check, a
-/// causal core must satisfy it, and a total-order core must additionally
-/// deliver in one global sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Guarantee {
-    /// Per-source FIFO only.
-    Fifo,
-    /// Causality-preserving delivery (the paper's CO service, §2.3).
-    Causal,
-    /// A single total order consistent with causality.
-    Total,
+/// Where one engine step's outputs go: the caller's clock reading, the
+/// observer receiving the [`ProtocolEvent`] stream and the sink receiving
+/// the [`Action`]s.
+///
+/// Both are threaded in per call (rather than owned by the engine) so the
+/// shell can keep a single observer across core generations
+/// (crash-restart replaces the core, not the observer) and so the whole
+/// engine monomorphizes against the zero-cost [`co_observe::NoopObserver`]
+/// — the bench trajectory guard holds the shell to that.
+#[derive(Debug)]
+pub struct Out<'a, O: Observer, S: ActionSink> {
+    /// The step's timestamp, µs on the caller's monotonic clock.
+    pub now_us: u64,
+    /// Receives every protocol transition.
+    pub observer: &'a mut O,
+    /// Receives broadcasts and deliveries, in protocol order.
+    pub sink: &'a mut S,
 }
 
-impl Guarantee {
-    /// Stable lowercase name (used in reports and bench row ids).
-    pub fn name(self) -> &'static str {
-        match self {
-            Guarantee::Fifo => "fifo",
-            Guarantee::Causal => "causal",
-            Guarantee::Total => "total",
+impl<'a, O: Observer, S: ActionSink> Out<'a, O, S> {
+    /// Bundles one step's clock reading, observer and sink.
+    pub fn new(now_us: u64, observer: &'a mut O, sink: &'a mut S) -> Self {
+        Out {
+            now_us,
+            observer,
+            sink,
         }
+    }
+
+    /// Emits one protocol event.
+    #[inline]
+    pub fn event(&mut self, event: ProtocolEvent) {
+        self.observer.on_event(event);
+    }
+
+    /// Emits one PDU for broadcast.
+    #[inline]
+    pub fn broadcast(&mut self, pdu: Pdu) {
+        self.sink.accept(Action::Broadcast(pdu));
     }
 }
 
-/// A pluggable delivery engine: the ordering half of an [`crate::Entity`].
+/// A pluggable ordering policy: the half of an [`crate::Entity`] above
+/// the [`ReliableFifo`] substrate.
 ///
 /// See the [module docs](self) for the contract. Implementations in this
-/// crate: [`crate::CoCore`], [`crate::HybridCore`], [`crate::SenderCore`].
+/// crate: [`crate::CoCore`], [`crate::HybridCore`], [`crate::SenderCore`];
+/// `tests/toy_core.rs` holds a fourth (FIFO-only) one.
 ///
-/// The observer is threaded in per call (rather than owned) so the shell
-/// can keep a single observer across core generations (crash-restart
-/// replaces the core, not the observer) and so cores monomorphize against
-/// the zero-cost [`co_observe::NoopObserver`] exactly like the
-/// pre-redesign entity did — the bench trajectory guard holds the shell
-/// to that.
+/// Every hook receives the substrate: read the next-expected frontier
+/// with [`ReliableFifo::frontier`], hand a message to the application
+/// with [`ReliableFifo::deliver`], release acknowledged own PDUs with
+/// [`ReliableFifo::prune_send_log`].
 pub trait DeliveryCore: Sized + Send + std::fmt::Debug + 'static {
-    /// Complete exported protocol state for crash-restart simulation.
+    /// The core's exported knowledge and buffers (crash-restart).
     type State: Clone + Send + std::fmt::Debug;
 
     /// Stable lowercase identifier (`"co"`, `"hybrid"`, `"sender"`) used
     /// by `co-check --core`, scenario plans and bench row ids.
     const NAME: &'static str;
 
-    /// The delivery guarantee this core provides.
-    const GUARANTEE: Guarantee;
+    /// Whether a tick re-tries the flush of queued submissions. Only a
+    /// core whose [`Self::gate_open`] can open without a PDU arriving
+    /// needs it.
+    const FLUSH_ON_TICK: bool = false;
 
     /// Creates the core in its initial state.
-    ///
-    /// # Errors
-    ///
-    /// Implementations may reject configurations they cannot honor; the
-    /// cores in this crate are infallible for a valid [`Config`].
-    fn new(config: Config) -> Result<Self, ConfigError>;
+    fn new(config: &Config) -> Self;
 
     /// Rebuilds a core from exported state (crash-restart).
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] from construction.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the state's dimensions do not match `config` (a
-    /// driver bug: state must be restored under its exporting config).
-    fn restore(config: Config, state: Self::State) -> Result<Self, ConfigError>;
+    /// [`ConfigError::StateMismatch`] if the state's dimensions do not
+    /// match `config`'s cluster size.
+    fn restore(config: &Config, state: Self::State) -> Result<Self, ConfigError>;
 
-    /// Captures the complete protocol state (lossless; see
+    /// Captures the core's complete state (lossless; see
     /// [`DeliveryCore::restore`]).
     fn export_state(&self) -> Self::State;
 
-    /// The configuration in force.
-    fn config(&self) -> &Config;
+    /// Folds the vectors of an arriving, validated PDU into knowledge.
+    /// Called for every PDU before anything else looks at it. For an
+    /// `AckOnly`, returns whether its sender lags this entity's knowledge
+    /// (it missed confirmations — possibly because ours were lost) and is
+    /// owed a paced refresher; `false` for the other kinds.
+    fn observe(&mut self, pdu: &Pdu, fifo: &mut ReliableFifo) -> bool;
 
-    /// Cumulative counters.
-    fn metrics(&self) -> &Metrics;
-
-    /// Approximate resident bytes of ordering state: knowledge
-    /// vectors/matrices plus buffered PDUs (headers, ack vectors and
-    /// payloads). This is the space-cost axis of the core comparison —
-    /// `co-bench`'s `core_matrix/mem` rows report it after a fixed
-    /// workload, exposing the O(n²)-matrix vs O(n)-vector trade.
-    fn state_bytes(&self) -> usize;
-
-    /// PDUs currently held in ordering buffers.
-    fn held_pdus(&self) -> usize;
-
-    /// High-water mark of [`DeliveryCore::held_pdus`].
-    fn peak_held_pdus(&self) -> usize;
-
-    /// Payloads queued behind the send gate.
-    fn pending_submits(&self) -> usize;
-
-    /// `true` when nothing is buffered or queued anywhere.
-    fn is_quiescent(&self) -> bool;
-
-    /// `true` when, additionally, the core knows every peer has seen
-    /// everything it sent (and, where the core tracks it, everything it
-    /// accepted). A core that is not fully stable keeps emitting
-    /// heartbeat confirmations from [`DeliveryCore::on_tick`] so tail
-    /// losses are eventually detected and repaired.
-    fn is_fully_stable(&self) -> bool;
-
-    /// Free protocol-buffer units (advertised as `BUF` on the wire).
-    fn free_buffer_units(&self) -> u32;
-
-    /// The application submits a payload for causally ordered broadcast.
-    ///
-    /// # Errors
-    ///
-    /// * [`ProtocolError::PayloadTooLarge`] for oversized payloads;
-    /// * [`ProtocolError::SubmitQueueFull`] when [`MAX_QUEUED_SUBMITS`]
-    ///   payloads are already queued behind the send gate.
-    fn submit<O: Observer>(
+    /// Takes ownership of a data PDU the substrate just accepted in
+    /// per-source order (the frontier already points past it).
+    fn accept<O: Observer, S: ActionSink>(
         &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Result<SubmitOutcome, ProtocolError>;
-
-    /// Integrates one already-validated PDU (the per-element half of the
-    /// receive pipeline; see the [module docs](self) for the batching
-    /// contract).
-    fn on_validated_pdu<O: Observer>(
-        &mut self,
-        pdu: Pdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
     );
 
-    /// The per-batch receive epilogue (confirmation emission, gauges).
-    fn end_batch<O: Observer>(&mut self, now_us: u64, observer: &mut O, sink: &mut impl ActionSink);
+    /// Records this entity's own broadcast `p` (already in the send log
+    /// and on the wire), so it reaches the local application in causal
+    /// position.
+    fn sent<O: Observer, S: ActionSink>(
+        &mut self,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
+    );
 
-    /// Advances the core's notion of time (deferred confirmations,
-    /// stability heartbeats, RET retries).
-    fn on_tick<O: Observer>(&mut self, now_us: u64, observer: &mut O, sink: &mut impl ActionSink);
-
-    /// The next time at which [`DeliveryCore::on_tick`] has work, if any.
-    fn next_deadline(&self, now_us: u64) -> Option<u64>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn guarantee_ordering_and_names() {
-        assert!(Guarantee::Fifo < Guarantee::Causal);
-        assert!(Guarantee::Causal < Guarantee::Total);
-        assert_eq!(Guarantee::Causal.name(), "causal");
-        assert_eq!(Guarantee::Fifo.name(), "fifo");
-        assert_eq!(Guarantee::Total.name(), "total");
+    /// Promotes and delivers everything that became ready. Cores that
+    /// deliver inside [`Self::accept`] keep the default.
+    fn sweep<O: Observer, S: ActionSink>(
+        &mut self,
+        _fifo: &mut ReliableFifo,
+        _out: &mut Out<'_, O, S>,
+    ) {
     }
+
+    /// The lowest confirmation of this entity's own PDUs across the
+    /// cluster: everything below is known received everywhere. The base of
+    /// the flow window.
+    fn confirmed_of_me(&self, fifo: &ReliableFifo) -> Seq;
+
+    /// A send gate on top of the flow condition; queued submissions wait
+    /// while it is closed.
+    fn gate_open(&self, _fifo: &ReliableFifo) -> bool {
+        true
+    }
+
+    /// The `(packed, acked)` vectors of an outgoing `AckOnly` (`ack` is
+    /// always the frontier).
+    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>);
+
+    /// A counter that moves whenever knowledge worth advertising beyond
+    /// the frontier does. Must reflect every fold made so far: a core with
+    /// lazily resolved caches resolves them in [`Self::sweep`], which
+    /// always runs between a fold and the substrate's next comparison.
+    fn knowledge_version(&self) -> u64 {
+        0
+    }
+
+    /// PDUs held in the core's ordering buffers.
+    fn held(&self) -> usize;
+
+    /// Approximate resident bytes of the core's knowledge plus its
+    /// buffered PDUs in a cluster of `n`.
+    fn state_bytes(&self, n: usize) -> usize;
+
+    /// Whether the core knows every peer has seen everything this entity
+    /// sent (and, where the core tracks it, accepted). Until then the
+    /// substrate keeps emitting heartbeat confirmations so tail losses are
+    /// eventually detected and repaired.
+    fn is_stable(&self, fifo: &ReliableFifo) -> bool;
 }

@@ -1,11 +1,11 @@
-//! The protocol entity `E_i` (§4): a thin sans-IO shell around a
-//! pluggable [`DeliveryCore`].
+//! The protocol entity `E_i` (§4): a thin sans-IO shell around the
+//! [`ReliableFifo`] substrate and a pluggable [`DeliveryCore`].
 //!
-//! The shell owns what is *not* ordering-specific — input validation,
-//! the observer, and the batching loop — and delegates every ordering
-//! decision (acceptance, buffering, ack bookkeeping, flow gating) to the
-//! core. See [`crate::core`] for the trait contract and the cores that
-//! ship with this crate.
+//! The shell owns what is neither reliability nor ordering — input
+//! validation, the observer, and the batching loop. The substrate repairs
+//! loss and paces confirmations; the core makes every ordering decision.
+//! See [`crate::core`] for the hook contract and the cores that ship with
+//! this crate.
 
 use bytes::Bytes;
 use causal_order::EntityId;
@@ -14,9 +14,11 @@ use co_wire::Pdu;
 use crate::actions::{Action, ActionSink, SubmitOutcome};
 use crate::co_core::CoCore;
 use crate::config::{Config, ConfigError};
-use crate::core::{DeliveryCore, Guarantee};
+use crate::core::{DeliveryCore, Out};
 use crate::error::ProtocolError;
+use crate::fifo::ReliableFifo;
 use crate::metrics::Metrics;
+use crate::snapshot::EntityState;
 use co_observe::{NoopObserver, Observer};
 
 /// Per-batch summary returned by [`Entity::on_pdus_into`]: how many PDUs
@@ -32,7 +34,8 @@ pub struct BatchOutcome {
     pub rejected: usize,
 }
 
-/// One entity of the cluster: wire-facing shell + delivery core.
+/// One entity of the cluster: wire-facing shell + reliability substrate +
+/// delivery core.
 ///
 /// Drive it with [`Entity::submit`], [`Entity::on_pdu`] and
 /// [`Entity::on_tick`]; the resulting [`Action`]s stream into a
@@ -53,6 +56,7 @@ pub struct BatchOutcome {
 /// See the crate docs for a walk-through and an example.
 #[derive(Debug)]
 pub struct Entity<C: DeliveryCore = CoCore, O: Observer = NoopObserver> {
+    fifo: ReliableFifo,
     core: C,
     /// Receives the [`co_observe::ProtocolEvent`] stream (zero-cost by
     /// default). Owned by the shell, not the core, so it survives
@@ -79,16 +83,9 @@ impl Entity {
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] from entity construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state's dimensions do not match `config`'s cluster
-    /// size (see [`Entity::restore_with`]).
-    pub fn restore(
-        config: Config,
-        state: crate::snapshot::EntityState,
-    ) -> Result<Self, ConfigError> {
+    /// [`ConfigError::StateMismatch`] if the state's dimensions do not
+    /// match `config`'s cluster size (see [`Entity::restore_with`]).
+    pub fn restore(config: Config, state: EntityState) -> Result<Self, ConfigError> {
         Entity::restore_with(config, state, NoopObserver)
     }
 }
@@ -103,17 +100,13 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     ///
     /// # Errors
     ///
-    /// Propagates core construction failure; see [`Entity::new`].
+    /// See [`Entity::new`].
     pub fn with_observer(config: Config, observer: O) -> Result<Self, ConfigError> {
         Ok(Entity {
-            core: C::new(config)?,
+            core: C::new(&config),
+            fifo: ReliableFifo::new(config),
             observer,
         })
-    }
-
-    /// Wraps an already-constructed core (e.g. one restored elsewhere).
-    pub fn from_core(core: C, observer: O) -> Self {
-        Entity { core, observer }
     }
 
     /// Rebuilds an entity from exported core state — the crash-restart
@@ -129,33 +122,31 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] from core construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state's dimensions do not match `config`'s cluster
-    /// size (a driver bug: state must be restored under the same config it
-    /// was exported under).
-    pub fn restore_with(config: Config, state: C::State, observer: O) -> Result<Self, ConfigError> {
+    /// [`ConfigError::StateMismatch`] if the state's dimensions do not
+    /// match `config`'s cluster size (a driver bug: state must be restored
+    /// under the same config it was exported under).
+    pub fn restore_with(
+        config: Config,
+        state: EntityState<C::State>,
+        observer: O,
+    ) -> Result<Self, ConfigError> {
+        let fifo = ReliableFifo::restore(config, state.fifo)?;
+        let core = C::restore(fifo.config(), state.core)?;
         Ok(Entity {
-            core: C::restore(config, state)?,
+            fifo,
+            core,
             observer,
         })
     }
 
     /// This entity's id.
     pub fn id(&self) -> EntityId {
-        self.core.config().me
+        self.fifo.config().me
     }
 
     /// The delivery core's stable name (`"co"`, `"hybrid"`, `"sender"`).
     pub fn core_name(&self) -> &'static str {
         C::NAME
-    }
-
-    /// The ordering guarantee the delivery core provides.
-    pub fn guarantee(&self) -> Guarantee {
-        C::GUARANTEE
     }
 
     /// The delivery core (e.g. for core-specific introspection).
@@ -182,42 +173,45 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
 
     /// The configuration in force.
     pub fn config(&self) -> &Config {
-        self.core.config()
+        self.fifo.config()
     }
 
     /// Cumulative counters.
     pub fn metrics(&self) -> &Metrics {
-        self.core.metrics()
+        self.fifo.metrics()
     }
 
-    /// PDUs currently held in the core's ordering buffers.
+    /// PDUs currently held in the reorder buffer and the core's ordering
+    /// buffers.
     pub fn held_pdus(&self) -> usize {
-        self.core.held_pdus()
+        self.fifo.held_pdus(&self.core)
     }
 
     /// High-water mark of [`Entity::held_pdus`] over the entity's lifetime
     /// (§5's O(n)-buffer claim is measured against this).
     pub fn peak_held_pdus(&self) -> usize {
-        self.core.peak_held_pdus()
+        self.fifo.peak_held_pdus()
     }
 
-    /// Payloads queued behind the core's send gate (flow condition,
-    /// sender-side causal delay, …).
+    /// Payloads queued behind the send gate (flow condition, sender-side
+    /// causal delay, …).
     pub fn pending_submits(&self) -> usize {
-        self.core.pending_submits()
+        self.fifo.pending_submits()
     }
 
-    /// Approximate resident bytes of the core's ordering state (knowledge
-    /// vectors/matrices plus buffered PDUs) — the space-cost axis of the
-    /// core comparison.
+    /// Approximate resident bytes of protocol state: knowledge
+    /// vectors/matrices plus buffered PDUs (headers, ack vectors and
+    /// payloads). This is the space-cost axis of the core comparison —
+    /// `co-bench`'s `core_matrix/mem` rows report it after a fixed
+    /// workload, exposing the O(n²)-matrix vs O(n)-vector trade.
     pub fn state_bytes(&self) -> usize {
-        self.core.state_bytes()
+        self.fifo.state_bytes(&self.core)
     }
 
     /// `true` when nothing is buffered or queued anywhere — every accepted
     /// PDU has been delivered and no payload awaits transmission.
     pub fn is_quiescent(&self) -> bool {
-        self.core.is_quiescent()
+        self.fifo.is_quiescent(&self.core)
     }
 
     /// `true` when, additionally, everything this entity has sent (and,
@@ -227,12 +221,12 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     /// lost with no later traffic to reveal the gap) are eventually
     /// detected and repaired.
     pub fn is_fully_stable(&self) -> bool {
-        self.core.is_fully_stable()
+        self.fifo.is_fully_stable(&self.core)
     }
 
     /// Free protocol-buffer units (advertised as `BUF`).
     pub fn free_buffer_units(&self) -> u32 {
-        self.core.free_buffer_units()
+        self.fifo.free_buffer_units(&self.core)
     }
 
     /// The application submits a payload for causally ordered broadcast
@@ -259,10 +253,9 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     /// The application submits a payload for causally ordered broadcast,
     /// streaming the resulting actions into `sink`.
     ///
-    /// Returns the outcome. If the core's send gate (the flow condition of
-    /// §4.2 for [`CoCore`], the causal send delay for
-    /// [`crate::SenderCore`]) is closed the payload is queued and flushed
-    /// automatically as the gate opens.
+    /// Returns the outcome. If the send gate (the flow condition of §4.2,
+    /// plus the causal send delay for [`crate::SenderCore`]) is closed the
+    /// payload is queued and flushed automatically as the gate opens.
     ///
     /// # Errors
     ///
@@ -275,7 +268,8 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
         now_us: u64,
         sink: &mut impl ActionSink,
     ) -> Result<SubmitOutcome, ProtocolError> {
-        self.core.submit(data, now_us, &mut self.observer, sink)
+        let out = &mut Out::new(now_us, &mut self.observer, sink);
+        self.fifo.submit(&mut self.core, data, out)
     }
 
     /// Feeds a PDU received from the network, streaming the resulting
@@ -306,10 +300,10 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
         now_us: u64,
         sink: &mut impl ActionSink,
     ) -> Result<(), ProtocolError> {
-        self.validate(&pdu)?;
-        self.core
-            .on_validated_pdu(pdu, now_us, &mut self.observer, sink);
-        self.core.end_batch(now_us, &mut self.observer, sink);
+        Self::validate(self.fifo.config(), &pdu)?;
+        let out = &mut Out::new(now_us, &mut self.observer, sink);
+        self.fifo.on_pdu(&mut self.core, pdu, out);
+        self.fifo.end_batch(&mut self.core, out);
         Ok(())
     }
 
@@ -330,9 +324,10 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     /// streaming the resulting actions into `sink`.
     ///
     /// Each PDU individually goes through the same receive pipeline as
-    /// [`Entity::on_pdu`] — validation, then the core's per-element
-    /// processing ([`DeliveryCore::on_validated_pdu`]): knowledge folds,
-    /// loss detection, the delivery sweep, and the gated-submission flush.
+    /// [`Entity::on_pdu`] — validation, then the substrate's per-element
+    /// processing: knowledge folds ([`DeliveryCore::observe`]), loss
+    /// detection, the delivery sweep ([`DeliveryCore::sweep`]), and the
+    /// gated-submission flush.
     /// All of these stay per-PDU deliberately: the delivery sweep because
     /// the delivery interleaving must be *identical* to feeding the PDUs
     /// one at a time, and the pending flush because a queued submission
@@ -341,9 +336,8 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     /// is pending — the steady state — so there is nothing to amortize
     /// anyway).
     ///
-    /// What the batch amortizes is the core's epilogue
-    /// ([`DeliveryCore::end_batch`]), run once at the end instead of once
-    /// per PDU:
+    /// What the batch amortizes is the substrate's epilogue, run once at
+    /// the end instead of once per PDU:
     ///
     /// * **advertisement**: under
     ///   [`crate::DeferralPolicy::Immediate`] the per-PDU path emits one
@@ -373,17 +367,17 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
         sink: &mut impl ActionSink,
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
+        let out = &mut Out::new(now_us, &mut self.observer, sink);
         for pdu in pdus {
-            if self.validate(&pdu).is_err() {
+            if Self::validate(self.fifo.config(), &pdu).is_err() {
                 outcome.rejected += 1;
                 continue;
             }
             outcome.accepted += 1;
-            self.core
-                .on_validated_pdu(pdu, now_us, &mut self.observer, sink);
+            self.fifo.on_pdu(&mut self.core, pdu, out);
         }
         if outcome.accepted > 0 {
-            self.core.end_batch(now_us, &mut self.observer, sink);
+            self.fifo.end_batch(&mut self.core, out);
         }
         outcome
     }
@@ -414,27 +408,30 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     /// Advances the entity's notion of time, streaming the resulting
     /// actions into `sink`.
     pub fn on_tick_with(&mut self, now_us: u64, sink: &mut impl ActionSink) {
-        self.core.on_tick(now_us, &mut self.observer, sink);
+        let out = &mut Out::new(now_us, &mut self.observer, sink);
+        self.fifo.on_tick(&mut self.core, out);
     }
 
     /// The next time at which [`Entity::on_tick`] has work to do, if any.
-    pub fn next_deadline(&self, now_us: u64) -> Option<u64> {
-        self.core.next_deadline(now_us)
+    pub fn next_deadline(&self, _now_us: u64) -> Option<u64> {
+        self.fifo.next_deadline(&self.core)
     }
 
-    /// Captures the core's *complete* protocol state for crash-restart
+    /// Captures the *complete* protocol state for crash-restart
     /// simulation. [`Entity::restore_with`] rebuilds an entity that is
     /// behaviorally identical to this one.
-    pub fn export_state(&self) -> C::State {
-        self.core.export_state()
+    pub fn export_state(&self) -> EntityState<C::State> {
+        EntityState {
+            fifo: self.fifo.export_state(),
+            core: self.core.export_state(),
+        }
     }
 
     // ------------------------------------------------------------------
     // Input validation (wire-facing, core-agnostic)
     // ------------------------------------------------------------------
 
-    fn validate(&self, pdu: &Pdu) -> Result<(), ProtocolError> {
-        let config = self.core.config();
+    fn validate(config: &Config, pdu: &Pdu) -> Result<(), ProtocolError> {
         let n = config.n();
         if pdu.cid() != config.cluster.cid {
             return Err(ProtocolError::WrongCluster {
@@ -479,7 +476,7 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
 impl<O: Observer> Entity<CoCore, O> {
     /// The current `REQ` vector.
     pub fn req(&self) -> &[causal_order::Seq] {
-        self.core.req()
+        self.fifo.frontier()
     }
 
     /// `minAL_j` — everything from `E_j` below this is known accepted
@@ -497,6 +494,6 @@ impl<O: Observer> Entity<CoCore, O> {
     /// Captures a serializable summary of the protocol state (see
     /// [`crate::EntitySnapshot`]).
     pub fn snapshot(&self) -> crate::snapshot::EntitySnapshot {
-        self.core.snapshot()
+        self.core.snapshot(&self.fifo)
     }
 }

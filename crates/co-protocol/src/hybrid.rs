@@ -1,5 +1,5 @@
-//! [`HybridCore`]: hybrid-buffering causal delivery behind the
-//! [`DeliveryCore`] trait.
+//! [`HybridCore`]: hybrid-buffering causal delivery over the
+//! [`ReliableFifo`] substrate.
 //!
 //! Follows the hybrid approach of Almeida's causal-delivery work
 //! (PAPERS.md): per-source FIFO links carry the bulk of the ordering, and
@@ -22,282 +22,62 @@
 //!   and delivery orders may legitimately differ across receivers for
 //!   concurrent messages.
 //!
-//! Loss handling reuses the CO machinery wholesale: F1 sequence-gap
-//! detection feeding the [`ReorderBuffer`], F2 ack-vector evidence, and
-//! the selective / go-back-n `RET` repair path over the [`SendLog`].
+//! Loss handling is the substrate's: this file is the thin causal buffer
+//! over FIFO links the hybrid design is by construction.
 
-use bytes::Bytes;
 use causal_order::{EntityId, Seq};
-use co_wire::{AckOnlyPdu, DataPdu, Pdu, RetPdu};
+use co_wire::{DataPdu, Pdu};
 use std::collections::VecDeque;
 
-use crate::actions::{Action, ActionSink, Delivery, SubmitOutcome};
-use crate::co_core::pdu_bytes;
-use crate::config::{Config, ConfigError, DeferralPolicy, RetransmissionPolicy};
-use crate::core::{DeliveryCore, Guarantee, MAX_QUEUED_SUBMITS};
-use crate::error::ProtocolError;
-use crate::flow::{flow_decision, flow_limit, FlowDecision};
-use crate::logs::SendLog;
-use crate::metrics::Metrics;
-use crate::reorder::ReorderBuffer;
-use co_observe::{Observer, ProtocolEvent};
+use crate::actions::ActionSink;
+use crate::config::{Config, ConfigError};
+use crate::core::{DeliveryCore, Out};
+use crate::fifo::{pdu_bytes, ReliableFifo};
+use co_observe::Observer;
 
 /// Exported [`HybridCore`] state (crash-restart; see
 /// [`DeliveryCore::export_state`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HybridState {
-    /// Received-contiguous frontier per source (own entry: next own seq).
-    pub fifo_next: Vec<Seq>,
     /// Delivery frontier per source.
     pub delivered_next: Vec<Seq>,
     /// FIFO-accepted PDUs whose causal dependencies are still undelivered,
     /// in acceptance order.
     pub causal_buf: Vec<DataPdu>,
-    /// Out-of-order PDUs per source awaiting gap repair.
-    pub reorder: Vec<Vec<DataPdu>>,
-    /// Own sent PDUs retained for retransmission.
-    pub send_log: Vec<DataPdu>,
     /// Highest `ack[me]` seen from each peer (own entry unused).
     pub peer_ack_of_me: Vec<Seq>,
-    /// Latest advertised free buffer units per entity.
-    pub buf_known: Vec<u32>,
-    /// Payloads queued behind the flow condition.
-    pub pending: Vec<Bytes>,
-    /// Peers heard from since our last own transmission.
-    pub heard_since_send: Vec<bool>,
-    /// Outstanding `RET` per source: `(lseq, when_sent_us)`.
-    pub ret_outstanding: Vec<Option<(Seq, u64)>>,
-    /// Whether a paced `AckOnly` reply is owed.
-    pub peer_needs_update: bool,
-    /// Last transmission time, µs.
-    pub last_send_us: u64,
-    /// High-water mark of buffered PDUs.
-    pub peak_held_pdus: usize,
-    /// Cumulative counters.
-    pub metrics: Metrics,
 }
 
 /// Hybrid-buffering causal core: FIFO links + a small causal buffer.
 ///
-/// See the [module docs](self) for the algorithm and trade-offs.
+/// See the [module docs](self) for the algorithm and trade-offs. The
+/// substrate's frontier plays the role the `REQ` vector plays in
+/// [`crate::CoCore`], including on the wire.
 #[derive(Debug)]
 pub struct HybridCore {
-    config: Config,
-    /// Received-contiguous frontier per source; `fifo_next[me]` is the
-    /// next sequence number this entity will assign. Plays the role the
-    /// `REQ` vector plays in [`crate::CoCore`], including on the wire.
-    fifo_next: Vec<Seq>,
+    me: EntityId,
     /// Delivery frontier per source (`delivered_next[j]` = next seq from
-    /// `E_j` to deliver). Always `<= fifo_next` pointwise.
+    /// `E_j` to deliver). Always `<=` the substrate's frontier pointwise.
     delivered_next: Vec<Seq>,
     /// FIFO-accepted PDUs waiting for cross-source dependencies.
     causal_buf: VecDeque<DataPdu>,
-    /// Out-of-order PDUs awaiting gap repair (selective mode only).
-    reorder: ReorderBuffer,
-    /// Own sent PDUs for `RET` service.
-    sl: SendLog,
     /// Highest `ack[me]` seen from each peer — drives flow control,
     /// send-log pruning and stability.
     peer_ack_of_me: Vec<Seq>,
-    buf_known: Vec<u32>,
-    pending: VecDeque<Bytes>,
-    heard_since_send: Vec<bool>,
-    /// Bumped whenever `fifo_next` changes (frontier entries are
-    /// monotonic, so version equality is value equality).
-    frontier_version: u64,
-    /// `frontier_version` as of the last confirmation-bearing send.
-    advertised: u64,
-    ret_outstanding: Vec<Option<(Seq, u64)>>,
-    peer_needs_update: bool,
-    last_send_us: u64,
-    peak_held_pdus: usize,
-    metrics: Metrics,
 }
 
 impl HybridCore {
-    fn held(&self) -> usize {
-        self.causal_buf.len() + self.reorder.total_len()
-    }
-
-    fn free_buf(&self) -> u32 {
-        let held = self.held() as u64 * u64::from(self.config.pdu_buf_units);
-        u32::try_from(u64::from(self.config.buffer_units).saturating_sub(held)).unwrap_or(0)
-    }
-
-    fn min_buf(&self) -> u32 {
-        let me = self.config.me.index();
-        self.buf_known
-            .iter()
-            .enumerate()
-            .map(|(j, &b)| if j == me { self.free_buf() } else { b })
-            .min()
-            .expect("n >= 2")
-    }
-
     /// Lowest `ack[me]` across peers (own entry substitutes our frontier):
     /// everything below is known received everywhere.
-    fn min_ack_of_me(&self) -> Seq {
-        let me = self.config.me.index();
+    fn min_ack_of_me(&self, fifo: &ReliableFifo) -> Seq {
+        let me = self.me.index();
         self.peer_ack_of_me
             .iter()
             .enumerate()
-            .map(|(j, &a)| if j == me { self.fifo_next[me] } else { a })
+            .map(|(j, &a)| if j == me { fifo.frontier()[me] } else { a })
             .min()
+            // `Config` validation rejects clusters below two entities.
             .expect("n >= 2")
-    }
-
-    fn heartbeat_interval(&self) -> u64 {
-        let deferral = match self.config.deferral {
-            DeferralPolicy::Immediate => 0,
-            DeferralPolicy::Deferred { timeout_us } => timeout_us,
-        };
-        deferral.max(self.config.ret_retry_us).max(1)
-    }
-
-    fn reply_pace_us(&self) -> u64 {
-        self.heartbeat_interval() / 2 + 1
-    }
-
-    // ------------------------------------------------------------------
-    // Receive path
-    // ------------------------------------------------------------------
-
-    fn on_data<O: Observer>(
-        &mut self,
-        p: DataPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        let src = p.src;
-        self.fold_peer_ack(src, &p.ack);
-        self.scan_f2(src, &p.ack, false, now_us, observer, sink);
-
-        let expected = self.fifo_next[src.index()];
-        if p.seq < expected {
-            self.metrics.duplicates += 1;
-            observer.on_event(ProtocolEvent::Duplicate {
-                src,
-                seq: p.seq,
-                now_us,
-            });
-            return;
-        }
-        if p.seq > expected {
-            self.metrics.f1_detections += 1;
-            observer.on_event(ProtocolEvent::F1Detected {
-                src,
-                expected,
-                got: p.seq,
-                now_us,
-            });
-            match self.config.retransmission {
-                RetransmissionPolicy::Selective => {
-                    let seq = p.seq;
-                    if self.reorder.store(p) {
-                        self.metrics.buffered_out_of_order += 1;
-                        observer.on_event(ProtocolEvent::ReorderEnter { src, seq, now_us });
-                    } else {
-                        self.metrics.duplicates += 1;
-                        observer.on_event(ProtocolEvent::Duplicate { src, seq, now_us });
-                    }
-                    self.send_ret(src, seq, now_us, observer, sink);
-                }
-                RetransmissionPolicy::GoBackN => {
-                    self.metrics.discarded_out_of_order += 1;
-                    observer.on_event(ProtocolEvent::OutOfOrderDiscarded {
-                        src,
-                        seq: p.seq,
-                        now_us,
-                    });
-                    self.send_ret(src, p.seq, now_us, observer, sink);
-                }
-            }
-            return;
-        }
-        self.accept_data(p, false, now_us, observer);
-        loop {
-            let next = self.fifo_next[src.index()];
-            match self.reorder.take_exact(src, next) {
-                Some(q) => self.accept_data(q, true, now_us, observer),
-                None => break,
-            }
-        }
-        if let Some((lseq, _)) = self.ret_outstanding[src.index()] {
-            if self.fifo_next[src.index()] >= lseq {
-                self.ret_outstanding[src.index()] = None;
-            }
-        }
-        self.reorder.drop_below(src, self.fifo_next[src.index()]);
-    }
-
-    /// FIFO acceptance: advance the received frontier and park the PDU in
-    /// the causal buffer until [`HybridCore::drain_deliverable`] finds its
-    /// dependencies satisfied.
-    fn accept_data<O: Observer>(
-        &mut self,
-        p: DataPdu,
-        from_reorder: bool,
-        now_us: u64,
-        observer: &mut O,
-    ) {
-        let src = p.src;
-        let seq = p.seq;
-        debug_assert_eq!(p.seq, self.fifo_next[src.index()], "FIFO acceptance");
-        self.fifo_next[src.index()] = p.seq.next();
-        self.frontier_version += 1;
-        self.metrics.accepted += 1;
-        if from_reorder {
-            self.metrics.accepted_from_reorder += 1;
-            observer.on_event(ProtocolEvent::ReorderExit { src, seq, now_us });
-        }
-        observer.on_event(ProtocolEvent::Accepted {
-            src,
-            seq,
-            from_reorder,
-            now_us,
-        });
-        self.causal_buf.push_back(p);
-    }
-
-    /// Causal delivery sweep: deliver every buffered PDU whose source is
-    /// next in per-source order *and* whose dependency vector is covered
-    /// by the delivery frontier, repeating until a full pass makes no
-    /// progress (one delivery can unblock others).
-    fn drain_deliverable<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < self.causal_buf.len() {
-                if self.deliverable(&self.causal_buf[i]) {
-                    let p = self.causal_buf.remove(i).expect("index checked");
-                    self.delivered_next[p.src.index()] = p.seq.next();
-                    self.metrics.delivered += 1;
-                    observer.on_event(ProtocolEvent::Delivered {
-                        src: p.src,
-                        seq: p.seq,
-                        now_us,
-                    });
-                    sink.accept(Action::Deliver(Delivery {
-                        src: p.src,
-                        seq: p.seq,
-                        ack: p.ack,
-                        data: p.data,
-                    }));
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
     }
 
     /// `m` is deliverable when it is next from its source and everything
@@ -314,588 +94,150 @@ impl HybridCore {
             .enumerate()
             .all(|(k, &dep)| k == src || self.delivered_next[k] >= dep)
     }
-
-    fn on_ret<O: Observer>(
-        &mut self,
-        r: RetPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        self.fold_peer_ack(r.src, &r.ack);
-        self.scan_f2(r.src, &r.ack, true, now_us, observer, sink);
-        if r.lsrc != self.config.me {
-            return;
-        }
-        let from = r.ack[self.config.me.index()];
-        let to = match self.config.retransmission {
-            RetransmissionPolicy::Selective => r.lseq,
-            RetransmissionPolicy::GoBackN => self.fifo_next[self.config.me.index()],
-        };
-        let mut served = 0u64;
-        for pdu in self.sl.range(from, to) {
-            observer.on_event(ProtocolEvent::RetServed {
-                to: r.src,
-                seq: pdu.seq,
-                now_us,
-            });
-            sink.accept(Action::Broadcast(Pdu::Data(pdu.clone())));
-            served += 1;
-        }
-        self.metrics.retransmissions_sent += served;
-        let requested = to.get().saturating_sub(from.get());
-        if served < requested {
-            let amount = requested - served;
-            self.metrics.ret_unservable += amount;
-            observer.on_event(ProtocolEvent::RetUnservable { amount, now_us });
-        }
-    }
-
-    fn on_ack_only<O: Observer>(
-        &mut self,
-        a: AckOnlyPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        self.fold_peer_ack(a.src, &a.ack);
-        // Lag detection, two halves sharing one loop (see the AckOnly
-        // construction in `send_ack_only` for what `acked` carries here):
-        // the sender misses data we have (`ack` behind our frontier), or
-        // the sender's aggregated receipt knowledge is behind what we hold
-        // (`acked` behind our frontier — typically *our* confirmations to
-        // it were lost, leaving its flow window wedged). Either way a
-        // paced `AckOnly` reply carries exactly the refresher it needs.
-        for j in 0..self.config.n() {
-            if a.ack[j] < self.fifo_next[j] || a.acked[j] < self.fifo_next[j] {
-                self.peer_needs_update = true;
-                break;
-            }
-        }
-        self.scan_f2(a.src, &a.ack, true, now_us, observer, sink);
-    }
-
-    /// Monotonic fold of a peer's confirmation of *our* PDUs, then prune
-    /// the send log below what everyone is known to have.
-    fn fold_peer_ack(&mut self, from: EntityId, ack: &[Seq]) {
-        let me = self.config.me.index();
-        let slot = &mut self.peer_ack_of_me[from.index()];
-        if ack[me] > *slot {
-            *slot = ack[me];
-            self.sl.prune_below(self.min_ack_of_me());
-        }
-    }
-
-    /// Failure condition F2, identical in spirit to [`crate::CoCore`]'s:
-    /// a frontier entry above ours proves PDUs we never received exist.
-    /// Sender-column handling matches the CO engine (excluded for data —
-    /// F1 covers it — included for control PDUs, where it is the only
-    /// evidence of an all-receiver tail loss).
-    fn scan_f2<O: Observer>(
-        &mut self,
-        from: EntityId,
-        ack: &[Seq],
-        include_sender_column: bool,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        for (j, &confirmed) in ack.iter().enumerate().take(self.config.n()) {
-            let source = EntityId::new(j as u32);
-            if source == self.config.me || (source == from && !include_sender_column) {
-                continue;
-            }
-            if confirmed > self.fifo_next[j] {
-                self.metrics.f2_detections += 1;
-                observer.on_event(ProtocolEvent::F2Detected {
-                    src: source,
-                    confirmed,
-                    via: from,
-                    now_us,
-                });
-                self.send_ret(source, confirmed, now_us, observer, sink);
-            }
-        }
-    }
-
-    /// `RET` request with the same dedup/clamp rules as the CO engine.
-    fn send_ret<O: Observer>(
-        &mut self,
-        source: EntityId,
-        lseq: Seq,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        debug_assert_ne!(source, self.config.me);
-        let lseq = match self.reorder.buffered(source).next() {
-            Some(first_buffered) => lseq.min(first_buffered),
-            None => lseq,
-        };
-        if lseq <= self.fifo_next[source.index()] {
-            return;
-        }
-        let slot = &mut self.ret_outstanding[source.index()];
-        if let Some((prev_lseq, when)) = *slot {
-            let fresh = now_us.saturating_sub(when) < self.config.ret_retry_us;
-            if fresh && lseq <= prev_lseq {
-                self.metrics.ret_suppressed += 1;
-                observer.on_event(ProtocolEvent::RetSuppressed {
-                    src: source,
-                    lseq,
-                    now_us,
-                });
-                return;
-            }
-        }
-        *slot = Some((lseq, now_us));
-        let ret = RetPdu {
-            cid: self.config.cluster.cid,
-            src: self.config.me,
-            lsrc: source,
-            lseq,
-            ack: self.fifo_next.clone(),
-            buf: self.free_buf(),
-        };
-        self.metrics.ret_sent += 1;
-        observer.on_event(ProtocolEvent::RetSent {
-            src: source,
-            lseq,
-            now_us,
-        });
-        sink.accept(Action::Broadcast(Pdu::Ret(ret)));
-    }
-
-    // ------------------------------------------------------------------
-    // Send path
-    // ------------------------------------------------------------------
-
-    fn flow_open(&self) -> bool {
-        let me = self.config.me.index();
-        matches!(
-            flow_decision(
-                self.fifo_next[me],
-                self.min_ack_of_me(),
-                self.config.window,
-                self.min_buf(),
-                self.config.pdu_buf_units,
-                self.config.n(),
-            ),
-            FlowDecision::Open
-        )
-    }
-
-    fn broadcast_data<O: Observer>(
-        &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Seq {
-        let me = self.config.me;
-        let seq = self.fifo_next[me.index()];
-        let pdu = DataPdu {
-            cid: self.config.cluster.cid,
-            src: me,
-            seq,
-            // The received frontier doubles as the dependency vector.
-            ack: self.fifo_next.clone(),
-            buf: self.free_buf(),
-            data,
-        };
-        self.fifo_next[me.index()] = seq.next();
-        self.frontier_version += 1;
-        self.sl.record(pdu.clone());
-        self.metrics.data_sent += 1;
-        observer.on_event(ProtocolEvent::DataSent {
-            src: me,
-            seq,
-            now_us,
-        });
-        sink.accept(Action::Broadcast(Pdu::Data(pdu.clone())));
-        // Self-acceptance: our own PDU enters the causal buffer so the
-        // local application receives it in causal position.
-        self.metrics.accepted += 1;
-        observer.on_event(ProtocolEvent::Accepted {
-            src: me,
-            seq,
-            from_reorder: false,
-            now_us,
-        });
-        self.causal_buf.push_back(pdu);
-        self.mark_advertised(now_us);
-        seq
-    }
-
-    fn try_flush_pending<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        if self.pending.is_empty() || !self.flow_open() {
-            return;
-        }
-        observer.on_event(ProtocolEvent::FlowOpened { now_us });
-        while !self.pending.is_empty() && self.flow_open() {
-            let data = self.pending.pop_front().expect("checked non-empty");
-            self.broadcast_data(data, now_us, observer, sink);
-        }
-        self.drain_deliverable(now_us, observer, sink);
-    }
-
-    fn unadvertised(&self) -> bool {
-        self.advertised != self.frontier_version
-    }
-
-    fn mark_advertised(&mut self, now_us: u64) {
-        self.advertised = self.frontier_version;
-        self.heard_since_send.fill(false);
-        self.last_send_us = now_us;
-    }
-
-    fn maybe_confirm<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        if self.peer_needs_update
-            && now_us.saturating_sub(self.last_send_us) >= self.reply_pace_us()
-        {
-            self.peer_needs_update = false;
-            self.send_ack_only(now_us, observer, sink);
-            return;
-        }
-        if !self.unadvertised() {
-            return;
-        }
-        let should = match self.config.deferral {
-            DeferralPolicy::Immediate => true,
-            DeferralPolicy::Deferred { .. } => self
-                .config
-                .cluster
-                .peers(self.config.me)
-                .all(|p| self.heard_since_send[p.index()]),
-        };
-        if should {
-            self.send_ack_only(now_us, observer, sink);
-        }
-    }
-
-    fn send_ack_only<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        // Wire mapping for the hybrid core: `ack` is the received
-        // frontier (as on data PDUs); `packed` is the delivery frontier;
-        // `acked` is the *aggregated receipt knowledge* — our frontier,
-        // except the own entry, which carries the lowest peer
-        // confirmation of our PDUs. Peers use `acked` to detect that our
-        // view of their confirmations is stale (lost `AckOnly`s) and owe
-        // us a refresher — without it, a sender whose flow window wedged
-        // on lost confirmations would stay wedged forever.
-        let me = self.config.me.index();
-        let mut acked = self.fifo_next.clone();
-        acked[me] = self.min_ack_of_me();
-        let pdu = AckOnlyPdu {
-            cid: self.config.cluster.cid,
-            src: self.config.me,
-            ack: self.fifo_next.clone(),
-            packed: self.delivered_next.clone(),
-            acked,
-            buf: self.free_buf(),
-        };
-        self.metrics.ack_only_sent += 1;
-        observer.on_event(ProtocolEvent::AckOnlySent { now_us });
-        sink.accept(Action::Broadcast(Pdu::AckOnly(pdu)));
-        self.mark_advertised(now_us);
-    }
-
-    fn note_peak(&mut self) {
-        self.peak_held_pdus = self.peak_held_pdus.max(self.held());
-    }
 }
 
 impl DeliveryCore for HybridCore {
     type State = HybridState;
 
     const NAME: &'static str = "hybrid";
-    const GUARANTEE: Guarantee = Guarantee::Causal;
 
-    fn new(config: Config) -> Result<Self, ConfigError> {
+    fn new(config: &Config) -> Self {
         let n = config.n();
-        Ok(HybridCore {
-            fifo_next: vec![Seq::FIRST; n],
+        HybridCore {
+            me: config.me,
             delivered_next: vec![Seq::FIRST; n],
             causal_buf: VecDeque::new(),
-            reorder: ReorderBuffer::new(n),
-            sl: SendLog::new(),
             peer_ack_of_me: vec![Seq::FIRST; n],
-            buf_known: vec![config.buffer_units; n],
-            pending: VecDeque::new(),
-            heard_since_send: vec![false; n],
-            frontier_version: 0,
-            advertised: 0,
-            ret_outstanding: vec![None; n],
-            peer_needs_update: false,
-            last_send_us: 0,
-            peak_held_pdus: 0,
-            metrics: Metrics::default(),
-            config,
+        }
+    }
+
+    fn restore(config: &Config, state: HybridState) -> Result<Self, ConfigError> {
+        let n = config.n();
+        ConfigError::check_len("delivered_next", state.delivered_next.len(), n)?;
+        ConfigError::check_len("peer_ack_of_me", state.peer_ack_of_me.len(), n)?;
+        Ok(HybridCore {
+            me: config.me,
+            delivered_next: state.delivered_next,
+            causal_buf: state.causal_buf.into(),
+            peer_ack_of_me: state.peer_ack_of_me,
         })
     }
 
-    fn restore(config: Config, state: Self::State) -> Result<Self, ConfigError> {
-        let mut e = <HybridCore as DeliveryCore>::new(config)?;
-        let n = e.config.n();
-        assert_eq!(
-            state.fifo_next.len(),
-            n,
-            "state/config cluster size mismatch"
-        );
-        assert_eq!(state.delivered_next.len(), n, "delivery frontier mismatch");
-        assert_eq!(state.peer_ack_of_me.len(), n, "peer ack vector mismatch");
-        assert_eq!(state.buf_known.len(), n, "buf_known length mismatch");
-        assert_eq!(state.reorder.len(), n, "reorder source count mismatch");
-        assert_eq!(state.heard_since_send.len(), n, "heard flags mismatch");
-        assert_eq!(state.ret_outstanding.len(), n, "RET records mismatch");
-        e.fifo_next = state.fifo_next;
-        e.delivered_next = state.delivered_next;
-        e.causal_buf = state.causal_buf.into();
-        for buffer in state.reorder {
-            for pdu in buffer {
-                e.reorder.store(pdu);
-            }
-        }
-        for pdu in state.send_log {
-            e.sl.record(pdu);
-        }
-        e.peer_ack_of_me = state.peer_ack_of_me;
-        e.buf_known = state.buf_known;
-        e.pending = state.pending.into();
-        e.heard_since_send = state.heard_since_send;
-        e.ret_outstanding = state.ret_outstanding;
-        e.peer_needs_update = state.peer_needs_update;
-        e.last_send_us = state.last_send_us;
-        e.peak_held_pdus = state.peak_held_pdus;
-        e.metrics = state.metrics;
-        // Owe the cluster a fresh advertisement (frontier_version starts
-        // at 0 == advertised, so bump the version, not the watermark).
-        e.frontier_version = 1;
-        e.advertised = 0;
-        Ok(e)
-    }
-
-    fn export_state(&self) -> Self::State {
-        let n = self.config.n();
+    fn export_state(&self) -> HybridState {
         HybridState {
-            fifo_next: self.fifo_next.clone(),
             delivered_next: self.delivered_next.clone(),
             causal_buf: self.causal_buf.iter().cloned().collect(),
-            reorder: (0..n)
-                .map(|j| {
-                    self.reorder
-                        .pdus(EntityId::new(j as u32))
-                        .cloned()
-                        .collect()
-                })
-                .collect(),
-            send_log: self.sl.iter().cloned().collect(),
             peer_ack_of_me: self.peer_ack_of_me.clone(),
-            buf_known: self.buf_known.clone(),
-            pending: self.pending.iter().cloned().collect(),
-            heard_since_send: self.heard_since_send.clone(),
-            ret_outstanding: self.ret_outstanding.clone(),
-            peer_needs_update: self.peer_needs_update,
-            last_send_us: self.last_send_us,
-            peak_held_pdus: self.peak_held_pdus,
-            metrics: self.metrics,
         }
     }
 
-    fn config(&self) -> &Config {
-        &self.config
+    /// Monotonic fold of a peer's confirmation of *our* PDUs, pruning the
+    /// send log below what everyone is known to have when it moves.
+    fn observe(&mut self, pdu: &Pdu, fifo: &mut ReliableFifo) -> bool {
+        let ack = pdu.ack();
+        let slot = &mut self.peer_ack_of_me[pdu.src().index()];
+        if ack[self.me.index()] > *slot {
+            *slot = ack[self.me.index()];
+            fifo.prune_send_log(self.min_ack_of_me(fifo));
+        }
+        // Lag detection, two halves sharing one loop (see `confirmation`
+        // for what `acked` carries here): the sender misses data we have
+        // (`ack` behind our frontier), or the sender's aggregated receipt
+        // knowledge is behind what we hold (`acked` behind our frontier —
+        // typically *our* confirmations to it were lost, leaving its flow
+        // window wedged). Either way a paced `AckOnly` reply carries
+        // exactly the refresher it needs.
+        let Pdu::AckOnly(a) = pdu else { return false };
+        let next = fifo.frontier();
+        (0..next.len()).any(|j| a.ack[j] < next[j] || a.acked[j] < next[j])
     }
 
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn state_bytes(&self) -> usize {
-        let n = self.config.n();
-        let seq = std::mem::size_of::<Seq>();
-        // Three O(n) Seq vectors plus per-source bookkeeping — no
-        // matrices.
-        let knowledge = 3 * n * seq;
-        let vectors =
-            n * std::mem::size_of::<u32>() + n + n * std::mem::size_of::<Option<(Seq, u64)>>();
-        let buffered: usize = self
-            .sl
-            .iter()
-            .chain(self.causal_buf.iter())
-            .chain((0..n).flat_map(|j| self.reorder.pdus(EntityId::new(j as u32))))
-            .map(|p| pdu_bytes(n, p.data.len()))
-            .sum();
-        knowledge + vectors + buffered
-    }
-
-    fn held_pdus(&self) -> usize {
-        self.held()
-    }
-
-    fn peak_held_pdus(&self) -> usize {
-        self.peak_held_pdus
-    }
-
-    fn pending_submits(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.held() == 0 && self.pending.is_empty()
-    }
-
-    fn is_fully_stable(&self) -> bool {
-        let me = self.config.me.index();
-        self.is_quiescent() && self.min_ack_of_me() >= self.fifo_next[me]
-    }
-
-    fn free_buffer_units(&self) -> u32 {
-        self.free_buf()
-    }
-
-    fn submit<O: Observer>(
+    /// FIFO acceptance parks the PDU in the causal buffer until
+    /// [`HybridCore::sweep`] finds its dependencies satisfied.
+    fn accept<O: Observer, S: ActionSink>(
         &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Result<SubmitOutcome, ProtocolError> {
-        if data.len() > self.config.max_payload {
-            return Err(ProtocolError::PayloadTooLarge {
-                size: data.len(),
-                max: self.config.max_payload,
-            });
-        }
-        if self.pending.is_empty() && self.flow_open() {
-            observer.on_event(ProtocolEvent::Submitted { now_us });
-            let seq = self.broadcast_data(data, now_us, observer, sink);
-            self.drain_deliverable(now_us, observer, sink);
-            Ok(SubmitOutcome::Sent(seq))
-        } else {
-            if self.pending.len() >= MAX_QUEUED_SUBMITS {
-                return Err(ProtocolError::SubmitQueueFull {
-                    limit: MAX_QUEUED_SUBMITS,
-                });
-            }
-            observer.on_event(ProtocolEvent::Submitted { now_us });
-            observer.on_event(ProtocolEvent::FlowClosed { now_us });
-            let me = self.config.me.index();
-            observer.on_event(ProtocolEvent::FlowBlocked {
-                outstanding: self.fifo_next[me].get() - self.min_ack_of_me().get(),
-                limit: flow_limit(
-                    self.config.window,
-                    self.min_buf(),
-                    self.config.pdu_buf_units,
-                    self.config.n(),
-                ),
-                now_us,
-            });
-            self.pending.push_back(data);
-            self.metrics.flow_blocked += 1;
-            Ok(SubmitOutcome::Queued)
-        }
-    }
-
-    fn on_validated_pdu<O: Observer>(
-        &mut self,
-        pdu: Pdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        p: DataPdu,
+        _fifo: &mut ReliableFifo,
+        _out: &mut Out<'_, O, S>,
     ) {
-        let from = pdu.src();
-        self.heard_since_send[from.index()] = true;
-        self.buf_known[from.index()] = pdu.buf();
-        match pdu {
-            Pdu::Data(p) => self.on_data(p, now_us, observer, sink),
-            Pdu::Ret(r) => self.on_ret(r, now_us, observer, sink),
-            Pdu::AckOnly(a) => self.on_ack_only(a, now_us, observer, sink),
-        }
-        self.drain_deliverable(now_us, observer, sink);
-        self.try_flush_pending(now_us, observer, sink);
+        self.causal_buf.push_back(p);
     }
 
-    fn end_batch<O: Observer>(
+    /// Self-acceptance: our own PDU enters the causal buffer so the local
+    /// application receives it in causal position.
+    fn sent<O: Observer, S: ActionSink>(
         &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
     ) {
-        self.maybe_confirm(now_us, observer, sink);
-        self.note_peak();
+        fifo.note_accepted(p.src, p.seq, false, out);
+        self.causal_buf.push_back(p);
     }
 
-    fn on_tick<O: Observer>(&mut self, now_us: u64, observer: &mut O, sink: &mut impl ActionSink) {
-        let timeout = match self.config.deferral {
-            DeferralPolicy::Immediate => 0,
-            DeferralPolicy::Deferred { timeout_us } => timeout_us,
-        };
-        if self.peer_needs_update
-            && now_us.saturating_sub(self.last_send_us) >= self.reply_pace_us()
-        {
-            self.peer_needs_update = false;
-            self.send_ack_only(now_us, observer, sink);
-        } else if (self.unadvertised() && now_us.saturating_sub(self.last_send_us) >= timeout)
-            || (!self.is_fully_stable()
-                && now_us.saturating_sub(self.last_send_us) >= self.heartbeat_interval())
-        {
-            self.send_ack_only(now_us, observer, sink);
-        }
-        for j in 0..self.config.n() {
-            let source = EntityId::new(j as u32);
-            let Some((lseq, when)) = self.ret_outstanding[j] else {
-                continue;
-            };
-            if self.fifo_next[j] >= lseq {
-                self.ret_outstanding[j] = None;
-                continue;
-            }
-            if now_us.saturating_sub(when) >= self.config.ret_retry_us {
-                self.ret_outstanding[j] = None;
-                self.send_ret(source, lseq, now_us, observer, sink);
-            }
-        }
-        self.note_peak();
-    }
-
-    fn next_deadline(&self, _now_us: u64) -> Option<u64> {
-        let mut deadline: Option<u64> = None;
-        let mut consider = |t: u64| {
-            deadline = Some(deadline.map_or(t, |d: u64| d.min(t)));
-        };
-        if self.peer_needs_update {
-            consider(self.last_send_us.saturating_add(self.reply_pace_us()));
-        }
-        if self.unadvertised() {
-            let timeout = match self.config.deferral {
-                DeferralPolicy::Immediate => 0,
-                DeferralPolicy::Deferred { timeout_us } => timeout_us,
-            };
-            consider(self.last_send_us.saturating_add(timeout));
-        } else if !self.is_fully_stable() {
-            consider(self.last_send_us.saturating_add(self.heartbeat_interval()));
-        }
-        for j in 0..self.config.n() {
-            if let Some((lseq, when)) = self.ret_outstanding[j] {
-                if self.fifo_next[j] < lseq {
-                    consider(when.saturating_add(self.config.ret_retry_us));
+    /// Causal delivery sweep: deliver every buffered PDU whose source is
+    /// next in per-source order *and* whose dependency vector is covered
+    /// by the delivery frontier, repeating until a full pass makes no
+    /// progress (one delivery can unblock others).
+    fn sweep<O: Observer, S: ActionSink>(
+        &mut self,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
+    ) {
+        loop {
+            let mut progressed = false;
+            let mut i = 0;
+            while i < self.causal_buf.len() {
+                if self.deliverable(&self.causal_buf[i]) {
+                    let p = self.causal_buf.remove(i).expect("index checked");
+                    self.delivered_next[p.src.index()] = p.seq.next();
+                    fifo.deliver(p, out);
+                    progressed = true;
+                } else {
+                    i += 1;
                 }
             }
+            if !progressed {
+                break;
+            }
         }
-        deadline
+    }
+
+    fn confirmed_of_me(&self, fifo: &ReliableFifo) -> Seq {
+        self.min_ack_of_me(fifo)
+    }
+
+    /// Wire mapping for the hybrid core: `ack` is the received frontier
+    /// (as on data PDUs); `packed` is the delivery frontier; `acked` is the
+    /// *aggregated receipt knowledge* — our frontier, except the own
+    /// entry, which carries the lowest peer confirmation of our PDUs.
+    /// Peers use `acked` to detect that our view of their confirmations is
+    /// stale (lost `AckOnly`s) and owe us a refresher — without it, a
+    /// sender whose flow window wedged on lost confirmations would stay
+    /// wedged forever.
+    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+        let mut acked = fifo.frontier().to_vec();
+        acked[self.me.index()] = self.min_ack_of_me(fifo);
+        (self.delivered_next.clone(), acked)
+    }
+
+    fn held(&self) -> usize {
+        self.causal_buf.len()
+    }
+
+    fn state_bytes(&self, n: usize) -> usize {
+        // Two O(n) Seq vectors beside the substrate's frontier — no
+        // matrices.
+        let knowledge = 2 * n * std::mem::size_of::<Seq>();
+        let buffered: usize = self
+            .causal_buf
+            .iter()
+            .map(|p| pdu_bytes(n, p.data.len()))
+            .sum();
+        knowledge + buffered
+    }
+
+    fn is_stable(&self, fifo: &ReliableFifo) -> bool {
+        self.min_ack_of_me(fifo) >= fifo.frontier()[self.me.index()]
     }
 }

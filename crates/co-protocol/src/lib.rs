@@ -105,6 +105,7 @@ mod core;
 mod cpi;
 mod entity;
 mod error;
+mod fifo;
 mod flow;
 mod hybrid;
 mod logs;
@@ -118,10 +119,11 @@ mod snapshot;
 pub use actions::{Action, ActionSink, Delivery, FnSink, SubmitOutcome};
 pub use co_core::CoCore;
 pub use config::{Config, ConfigBuilder, ConfigError, DeferralPolicy, RetransmissionPolicy};
-pub use core::{DeliveryCore, Guarantee, MAX_QUEUED_SUBMITS};
+pub use core::{DeliveryCore, Out, MAX_QUEUED_SUBMITS};
 pub use cpi::CausalLog;
 pub use entity::{BatchOutcome, Entity};
 pub use error::ProtocolError;
+pub use fifo::{FifoState, ReliableFifo};
 pub use flow::{flow_limit, FlowDecision};
 pub use hybrid::{HybridCore, HybridState};
 pub use logs::{ReceiptLogs, SendLog};
@@ -130,7 +132,7 @@ pub use metrics::Metrics;
 pub use mux::ClusterMux;
 pub use reorder::ReorderBuffer;
 pub use sender::{SenderCore, SenderState};
-pub use snapshot::{EntitySnapshot, EntityState};
+pub use snapshot::{CoState, EntitySnapshot, EntityState};
 
 /// Re-export of the wire-level PDU types the engine consumes and produces.
 pub use co_wire::{AckOnlyPdu, DataPdu, Pdu, PduKind, RetPdu};

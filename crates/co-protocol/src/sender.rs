@@ -1,5 +1,5 @@
-//! [`SenderCore`]: sender-side causal enforcement behind the
-//! [`DeliveryCore`] trait.
+//! [`SenderCore`]: sender-side causal enforcement over the
+//! [`ReliableFifo`] substrate.
 //!
 //! Follows Tong, Liittschwager and Kuper's observation (PAPERS.md) that
 //! causal ordering can be enforced entirely on the *sending* side: a
@@ -27,590 +27,70 @@
 //! * delivery is FIFO-fast but, as in the hybrid core, not globally
 //!   stable when it happens.
 //!
-//! Loss handling reuses the CO machinery: F1 gaps feed the
-//! [`ReorderBuffer`] (buffered PDUs are *not* delivered until the gap
-//! closes, preserving FIFO = causal order), F2 ack evidence, and `RET`
-//! repair over the [`SendLog`].
+//! Loss handling is the substrate's — the channel that already repairs
+//! loss, which sender-side enforcement assumes: out-of-order PDUs wait in
+//! its reorder buffer and are *not* delivered until the gap closes,
+//! preserving FIFO = causal order.
 
-use bytes::Bytes;
-use causal_order::{EntityId, Seq};
-use co_wire::{AckOnlyPdu, DataPdu, Pdu, RetPdu};
-use std::collections::VecDeque;
+use causal_order::Seq;
+use co_wire::{DataPdu, Pdu};
 
-use crate::actions::{Action, ActionSink, Delivery, SubmitOutcome};
-use crate::co_core::pdu_bytes;
-use crate::config::{Config, ConfigError, DeferralPolicy, RetransmissionPolicy};
-use crate::core::{DeliveryCore, Guarantee, MAX_QUEUED_SUBMITS};
-use crate::error::ProtocolError;
-use crate::flow::{flow_decision, flow_limit, FlowDecision};
-use crate::logs::SendLog;
-use crate::metrics::Metrics;
-use crate::reorder::ReorderBuffer;
-use co_observe::{Observer, ProtocolEvent};
+use crate::actions::ActionSink;
+use crate::config::{Config, ConfigError};
+use crate::core::{DeliveryCore, Out};
+use crate::fifo::ReliableFifo;
+use co_observe::Observer;
 
 /// Exported [`SenderCore`] state (crash-restart; see
 /// [`DeliveryCore::export_state`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SenderState {
-    /// Received(-and-delivered) frontier per source (own entry: next own
-    /// seq).
-    pub fifo_next: Vec<Seq>,
     /// Row-major `peer_recv[j][k]`: highest `ack[k]` seen from `E_j`
     /// (row `me` unused).
     pub peer_recv: Vec<Seq>,
-    /// Out-of-order PDUs per source awaiting gap repair.
-    pub reorder: Vec<Vec<DataPdu>>,
-    /// Own sent PDUs retained for retransmission.
-    pub send_log: Vec<DataPdu>,
-    /// Latest advertised free buffer units per entity.
-    pub buf_known: Vec<u32>,
-    /// Payloads queued behind the causal send gate / flow condition.
-    pub pending: Vec<Bytes>,
-    /// Peers heard from since our last own transmission.
-    pub heard_since_send: Vec<bool>,
-    /// Outstanding `RET` per source: `(lseq, when_sent_us)`.
-    pub ret_outstanding: Vec<Option<(Seq, u64)>>,
-    /// Whether a paced `AckOnly` reply is owed.
-    pub peer_needs_update: bool,
-    /// Last transmission time, µs.
-    pub last_send_us: u64,
-    /// High-water mark of buffered PDUs.
-    pub peak_held_pdus: usize,
-    /// Cumulative counters.
-    pub metrics: Metrics,
 }
 
 /// Sender-side causal core: receivers deliver on FIFO arrival.
 ///
-/// See the [module docs](self) for the algorithm and trade-offs.
+/// See the [module docs](self) for the algorithm and trade-offs. In this
+/// core the substrate's received frontier is also the delivery frontier.
 #[derive(Debug)]
 pub struct SenderCore {
-    config: Config,
-    /// Received frontier per source; in this core it is also the delivery
-    /// frontier. `fifo_next[me]` is the next own sequence number.
-    fifo_next: Vec<Seq>,
+    me: usize,
+    n: usize,
     /// Row-major receipt knowledge: `peer_recv[j * n + k]` = highest
     /// `ack[k]` seen on any PDU from `E_j`. The send gate reads it; the
     /// own row is unused.
     peer_recv: Vec<Seq>,
-    /// Out-of-order PDUs awaiting gap repair (selective mode only).
-    reorder: ReorderBuffer,
-    /// Own sent PDUs for `RET` service.
-    sl: SendLog,
-    buf_known: Vec<u32>,
-    pending: VecDeque<Bytes>,
-    heard_since_send: Vec<bool>,
-    /// Bumped whenever `fifo_next` changes.
-    frontier_version: u64,
-    /// `frontier_version` as of the last confirmation-bearing send.
-    advertised: u64,
-    ret_outstanding: Vec<Option<(Seq, u64)>>,
-    peer_needs_update: bool,
-    last_send_us: u64,
-    peak_held_pdus: usize,
-    metrics: Metrics,
 }
 
 impl SenderCore {
-    fn held(&self) -> usize {
-        self.reorder.total_len()
-    }
-
-    fn free_buf(&self) -> u32 {
-        let held = self.held() as u64 * u64::from(self.config.pdu_buf_units);
-        u32::try_from(u64::from(self.config.buffer_units).saturating_sub(held)).unwrap_or(0)
-    }
-
-    fn min_buf(&self) -> u32 {
-        let me = self.config.me.index();
-        self.buf_known
-            .iter()
-            .enumerate()
-            .map(|(j, &b)| if j == me { self.free_buf() } else { b })
-            .min()
-            .expect("n >= 2")
-    }
-
-    fn recv(&self, peer: usize, source: usize) -> Seq {
-        self.peer_recv[peer * self.config.n() + source]
-    }
-
-    /// Lowest confirmation of *our* PDUs across peers.
-    fn min_recv_of_me(&self) -> Seq {
-        let me = self.config.me.index();
-        (0..self.config.n())
-            .map(|j| {
-                if j == me {
-                    self.fifo_next[me]
-                } else {
-                    self.recv(j, me)
-                }
-            })
-            .min()
-            .expect("n >= 2")
-    }
-
     /// Lowest receipt knowledge of `source` across peers (the `acked`
-    /// aggregation advertised on `AckOnly`).
-    fn min_recv_of(&self, source: usize) -> Seq {
-        let me = self.config.me.index();
-        (0..self.config.n())
+    /// aggregation advertised on `AckOnly`; for `source == me`, the lowest
+    /// confirmation of *our* PDUs). The own row substitutes our frontier.
+    fn min_recv_of(&self, source: usize, fifo: &ReliableFifo) -> Seq {
+        (0..self.n)
             .map(|j| {
-                if j == me {
-                    self.fifo_next[source]
+                if j == self.me {
+                    fifo.frontier()[source]
                 } else {
-                    self.recv(j, source)
+                    self.peer_recv[j * self.n + source]
                 }
             })
             .min()
+            // `Config` validation rejects clusters below two entities.
             .expect("n >= 2")
     }
 
-    /// The causal send gate: every foreign message this entity has
-    /// delivered must be known received by *all* peers. The own column is
-    /// exempt (per-source FIFO at the receivers orders own messages), so
-    /// a window of own broadcasts stays in flight.
-    fn causal_gate_open(&self) -> bool {
-        let me = self.config.me.index();
-        let n = self.config.n();
-        (0..n).filter(|&j| j != me).all(|j| {
-            (0..n)
-                .filter(|&k| k != me)
-                .all(|k| self.recv(j, k) >= self.fifo_next[k])
+    /// Whether every peer is known to have received, of every source but
+    /// those in `exempt`, all that we have.
+    fn peers_cover_frontier(&self, fifo: &ReliableFifo, exempt: Option<usize>) -> bool {
+        let next = fifo.frontier();
+        (0..self.n).filter(|&j| j != self.me).all(|j| {
+            (0..self.n)
+                .filter(|&k| Some(k) != exempt)
+                .all(|k| self.peer_recv[j * self.n + k] >= next[k])
         })
-    }
-
-    fn heartbeat_interval(&self) -> u64 {
-        let deferral = match self.config.deferral {
-            DeferralPolicy::Immediate => 0,
-            DeferralPolicy::Deferred { timeout_us } => timeout_us,
-        };
-        deferral.max(self.config.ret_retry_us).max(1)
-    }
-
-    fn reply_pace_us(&self) -> u64 {
-        self.heartbeat_interval() / 2 + 1
-    }
-
-    // ------------------------------------------------------------------
-    // Receive path
-    // ------------------------------------------------------------------
-
-    fn on_data<O: Observer>(
-        &mut self,
-        p: DataPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        let src = p.src;
-        self.fold_peer_recv(src, &p.ack);
-        self.scan_f2(src, &p.ack, false, now_us, observer, sink);
-
-        let expected = self.fifo_next[src.index()];
-        if p.seq < expected {
-            self.metrics.duplicates += 1;
-            observer.on_event(ProtocolEvent::Duplicate {
-                src,
-                seq: p.seq,
-                now_us,
-            });
-            return;
-        }
-        if p.seq > expected {
-            self.metrics.f1_detections += 1;
-            observer.on_event(ProtocolEvent::F1Detected {
-                src,
-                expected,
-                got: p.seq,
-                now_us,
-            });
-            match self.config.retransmission {
-                RetransmissionPolicy::Selective => {
-                    let seq = p.seq;
-                    if self.reorder.store(p) {
-                        self.metrics.buffered_out_of_order += 1;
-                        observer.on_event(ProtocolEvent::ReorderEnter { src, seq, now_us });
-                    } else {
-                        self.metrics.duplicates += 1;
-                        observer.on_event(ProtocolEvent::Duplicate { src, seq, now_us });
-                    }
-                    self.send_ret(src, seq, now_us, observer, sink);
-                }
-                RetransmissionPolicy::GoBackN => {
-                    self.metrics.discarded_out_of_order += 1;
-                    observer.on_event(ProtocolEvent::OutOfOrderDiscarded {
-                        src,
-                        seq: p.seq,
-                        now_us,
-                    });
-                    self.send_ret(src, p.seq, now_us, observer, sink);
-                }
-            }
-            return;
-        }
-        self.accept_and_deliver(p, false, now_us, observer, sink);
-        loop {
-            let next = self.fifo_next[src.index()];
-            match self.reorder.take_exact(src, next) {
-                Some(q) => self.accept_and_deliver(q, true, now_us, observer, sink),
-                None => break,
-            }
-        }
-        if let Some((lseq, _)) = self.ret_outstanding[src.index()] {
-            if self.fifo_next[src.index()] >= lseq {
-                self.ret_outstanding[src.index()] = None;
-            }
-        }
-        self.reorder.drop_below(src, self.fifo_next[src.index()]);
-    }
-
-    /// Acceptance *is* delivery in this core: the sender already
-    /// guaranteed every causal dependency was delivered here before this
-    /// PDU was transmitted (see the [module docs](self)).
-    fn accept_and_deliver<O: Observer>(
-        &mut self,
-        p: DataPdu,
-        from_reorder: bool,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        let src = p.src;
-        let seq = p.seq;
-        debug_assert_eq!(p.seq, self.fifo_next[src.index()], "FIFO acceptance");
-        self.fifo_next[src.index()] = p.seq.next();
-        self.frontier_version += 1;
-        self.metrics.accepted += 1;
-        if from_reorder {
-            self.metrics.accepted_from_reorder += 1;
-            observer.on_event(ProtocolEvent::ReorderExit { src, seq, now_us });
-        }
-        observer.on_event(ProtocolEvent::Accepted {
-            src,
-            seq,
-            from_reorder,
-            now_us,
-        });
-        self.metrics.delivered += 1;
-        observer.on_event(ProtocolEvent::Delivered { src, seq, now_us });
-        sink.accept(Action::Deliver(Delivery {
-            src,
-            seq,
-            ack: p.ack,
-            data: p.data,
-        }));
-    }
-
-    fn on_ret<O: Observer>(
-        &mut self,
-        r: RetPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        self.fold_peer_recv(r.src, &r.ack);
-        self.scan_f2(r.src, &r.ack, true, now_us, observer, sink);
-        if r.lsrc != self.config.me {
-            return;
-        }
-        let from = r.ack[self.config.me.index()];
-        let to = match self.config.retransmission {
-            RetransmissionPolicy::Selective => r.lseq,
-            RetransmissionPolicy::GoBackN => self.fifo_next[self.config.me.index()],
-        };
-        let mut served = 0u64;
-        for pdu in self.sl.range(from, to) {
-            observer.on_event(ProtocolEvent::RetServed {
-                to: r.src,
-                seq: pdu.seq,
-                now_us,
-            });
-            sink.accept(Action::Broadcast(Pdu::Data(pdu.clone())));
-            served += 1;
-        }
-        self.metrics.retransmissions_sent += served;
-        let requested = to.get().saturating_sub(from.get());
-        if served < requested {
-            let amount = requested - served;
-            self.metrics.ret_unservable += amount;
-            observer.on_event(ProtocolEvent::RetUnservable { amount, now_us });
-        }
-    }
-
-    fn on_ack_only<O: Observer>(
-        &mut self,
-        a: AckOnlyPdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        self.fold_peer_recv(a.src, &a.ack);
-        // Lag detection (same two-half rule as the hybrid core): the
-        // sender misses data we have, or its aggregated receipt knowledge
-        // (`acked`) trails our frontier — the latter is how a sender whose
-        // causal gate wedged on lost confirmations gets its refresher.
-        for j in 0..self.config.n() {
-            if a.ack[j] < self.fifo_next[j] || a.acked[j] < self.fifo_next[j] {
-                self.peer_needs_update = true;
-                break;
-            }
-        }
-        self.scan_f2(a.src, &a.ack, true, now_us, observer, sink);
-    }
-
-    /// Monotonic fold of a peer's receipt frontier into its `peer_recv`
-    /// row, then prune the send log below what everyone has.
-    fn fold_peer_recv(&mut self, from: EntityId, ack: &[Seq]) {
-        let n = self.config.n();
-        let row = from.index() * n;
-        let mut moved = false;
-        for (k, &a) in ack.iter().enumerate().take(n) {
-            let slot = &mut self.peer_recv[row + k];
-            if a > *slot {
-                *slot = a;
-                moved = true;
-            }
-        }
-        if moved {
-            self.sl.prune_below(self.min_recv_of_me());
-        }
-    }
-
-    /// Failure condition F2 over a frontier vector; sender-column rules
-    /// as in [`crate::CoCore`].
-    fn scan_f2<O: Observer>(
-        &mut self,
-        from: EntityId,
-        ack: &[Seq],
-        include_sender_column: bool,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        for (j, &confirmed) in ack.iter().enumerate().take(self.config.n()) {
-            let source = EntityId::new(j as u32);
-            if source == self.config.me || (source == from && !include_sender_column) {
-                continue;
-            }
-            if confirmed > self.fifo_next[j] {
-                self.metrics.f2_detections += 1;
-                observer.on_event(ProtocolEvent::F2Detected {
-                    src: source,
-                    confirmed,
-                    via: from,
-                    now_us,
-                });
-                self.send_ret(source, confirmed, now_us, observer, sink);
-            }
-        }
-    }
-
-    fn send_ret<O: Observer>(
-        &mut self,
-        source: EntityId,
-        lseq: Seq,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        debug_assert_ne!(source, self.config.me);
-        let lseq = match self.reorder.buffered(source).next() {
-            Some(first_buffered) => lseq.min(first_buffered),
-            None => lseq,
-        };
-        if lseq <= self.fifo_next[source.index()] {
-            return;
-        }
-        let slot = &mut self.ret_outstanding[source.index()];
-        if let Some((prev_lseq, when)) = *slot {
-            let fresh = now_us.saturating_sub(when) < self.config.ret_retry_us;
-            if fresh && lseq <= prev_lseq {
-                self.metrics.ret_suppressed += 1;
-                observer.on_event(ProtocolEvent::RetSuppressed {
-                    src: source,
-                    lseq,
-                    now_us,
-                });
-                return;
-            }
-        }
-        *slot = Some((lseq, now_us));
-        let ret = RetPdu {
-            cid: self.config.cluster.cid,
-            src: self.config.me,
-            lsrc: source,
-            lseq,
-            ack: self.fifo_next.clone(),
-            buf: self.free_buf(),
-        };
-        self.metrics.ret_sent += 1;
-        observer.on_event(ProtocolEvent::RetSent {
-            src: source,
-            lseq,
-            now_us,
-        });
-        sink.accept(Action::Broadcast(Pdu::Ret(ret)));
-    }
-
-    // ------------------------------------------------------------------
-    // Send path
-    // ------------------------------------------------------------------
-
-    fn flow_open(&self) -> bool {
-        let me = self.config.me.index();
-        matches!(
-            flow_decision(
-                self.fifo_next[me],
-                self.min_recv_of_me(),
-                self.config.window,
-                self.min_buf(),
-                self.config.pdu_buf_units,
-                self.config.n(),
-            ),
-            FlowDecision::Open
-        )
-    }
-
-    fn gate_open(&self) -> bool {
-        self.causal_gate_open() && self.flow_open()
-    }
-
-    fn broadcast_data<O: Observer>(
-        &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Seq {
-        let me = self.config.me;
-        let seq = self.fifo_next[me.index()];
-        let pdu = DataPdu {
-            cid: self.config.cluster.cid,
-            src: me,
-            seq,
-            ack: self.fifo_next.clone(),
-            buf: self.free_buf(),
-            data,
-        };
-        self.fifo_next[me.index()] = seq.next();
-        self.frontier_version += 1;
-        self.sl.record(pdu.clone());
-        self.metrics.data_sent += 1;
-        observer.on_event(ProtocolEvent::DataSent {
-            src: me,
-            seq,
-            now_us,
-        });
-        sink.accept(Action::Broadcast(Pdu::Data(pdu.clone())));
-        // Self-delivery on send: our own message's dependencies are, by
-        // definition, already delivered locally.
-        self.metrics.accepted += 1;
-        observer.on_event(ProtocolEvent::Accepted {
-            src: me,
-            seq,
-            from_reorder: false,
-            now_us,
-        });
-        self.metrics.delivered += 1;
-        observer.on_event(ProtocolEvent::Delivered {
-            src: me,
-            seq,
-            now_us,
-        });
-        sink.accept(Action::Deliver(Delivery {
-            src: me,
-            seq,
-            ack: pdu.ack,
-            data: pdu.data,
-        }));
-        self.mark_advertised(now_us);
-        seq
-    }
-
-    fn try_flush_pending<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        if self.pending.is_empty() || !self.gate_open() {
-            return;
-        }
-        observer.on_event(ProtocolEvent::FlowOpened { now_us });
-        while !self.pending.is_empty() && self.gate_open() {
-            let data = self.pending.pop_front().expect("checked non-empty");
-            self.broadcast_data(data, now_us, observer, sink);
-        }
-    }
-
-    fn unadvertised(&self) -> bool {
-        self.advertised != self.frontier_version
-    }
-
-    fn mark_advertised(&mut self, now_us: u64) {
-        self.advertised = self.frontier_version;
-        self.heard_since_send.fill(false);
-        self.last_send_us = now_us;
-    }
-
-    fn maybe_confirm<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        if self.peer_needs_update
-            && now_us.saturating_sub(self.last_send_us) >= self.reply_pace_us()
-        {
-            self.peer_needs_update = false;
-            self.send_ack_only(now_us, observer, sink);
-            return;
-        }
-        if !self.unadvertised() {
-            return;
-        }
-        let should = match self.config.deferral {
-            DeferralPolicy::Immediate => true,
-            DeferralPolicy::Deferred { .. } => self
-                .config
-                .cluster
-                .peers(self.config.me)
-                .all(|p| self.heard_since_send[p.index()]),
-        };
-        if should {
-            self.send_ack_only(now_us, observer, sink);
-        }
-    }
-
-    fn send_ack_only<O: Observer>(
-        &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) {
-        // Wire mapping: `ack` and `packed` are the received(= delivery)
-        // frontier; `acked[k]` is the lowest receipt knowledge of `E_k`
-        // across peers — peers use it to spot that our gate is wedged on
-        // confirmations we never got, and reply with a refresher.
-        let n = self.config.n();
-        let acked = (0..n).map(|k| self.min_recv_of(k)).collect();
-        let pdu = AckOnlyPdu {
-            cid: self.config.cluster.cid,
-            src: self.config.me,
-            ack: self.fifo_next.clone(),
-            packed: self.fifo_next.clone(),
-            acked,
-            buf: self.free_buf(),
-        };
-        self.metrics.ack_only_sent += 1;
-        observer.on_event(ProtocolEvent::AckOnlySent { now_us });
-        sink.accept(Action::Broadcast(Pdu::AckOnly(pdu)));
-        self.mark_advertised(now_us);
-    }
-
-    fn note_peak(&mut self) {
-        self.peak_held_pdus = self.peak_held_pdus.max(self.held());
     }
 }
 
@@ -618,275 +98,115 @@ impl DeliveryCore for SenderCore {
     type State = SenderState;
 
     const NAME: &'static str = "sender";
-    const GUARANTEE: Guarantee = Guarantee::Causal;
 
-    fn new(config: Config) -> Result<Self, ConfigError> {
+    /// The gate can open from a tick alone only via state restored or
+    /// timers; re-check so queued submissions never stall on a missed
+    /// edge.
+    const FLUSH_ON_TICK: bool = true;
+
+    fn new(config: &Config) -> Self {
         let n = config.n();
-        Ok(SenderCore {
-            fifo_next: vec![Seq::FIRST; n],
+        SenderCore {
+            me: config.me.index(),
+            n,
             peer_recv: vec![Seq::FIRST; n * n],
-            reorder: ReorderBuffer::new(n),
-            sl: SendLog::new(),
-            buf_known: vec![config.buffer_units; n],
-            pending: VecDeque::new(),
-            heard_since_send: vec![false; n],
-            frontier_version: 0,
-            advertised: 0,
-            ret_outstanding: vec![None; n],
-            peer_needs_update: false,
-            last_send_us: 0,
-            peak_held_pdus: 0,
-            metrics: Metrics::default(),
-            config,
+        }
+    }
+
+    fn restore(config: &Config, state: SenderState) -> Result<Self, ConfigError> {
+        let n = config.n();
+        ConfigError::check_len("peer_recv", state.peer_recv.len(), n * n)?;
+        Ok(SenderCore {
+            peer_recv: state.peer_recv,
+            ..SenderCore::new(config)
         })
     }
 
-    fn restore(config: Config, state: Self::State) -> Result<Self, ConfigError> {
-        let mut e = <SenderCore as DeliveryCore>::new(config)?;
-        let n = e.config.n();
-        assert_eq!(
-            state.fifo_next.len(),
-            n,
-            "state/config cluster size mismatch"
-        );
-        assert_eq!(state.peer_recv.len(), n * n, "peer_recv dimension mismatch");
-        assert_eq!(state.buf_known.len(), n, "buf_known length mismatch");
-        assert_eq!(state.reorder.len(), n, "reorder source count mismatch");
-        assert_eq!(state.heard_since_send.len(), n, "heard flags mismatch");
-        assert_eq!(state.ret_outstanding.len(), n, "RET records mismatch");
-        e.fifo_next = state.fifo_next;
-        e.peer_recv = state.peer_recv;
-        for buffer in state.reorder {
-            for pdu in buffer {
-                e.reorder.store(pdu);
-            }
-        }
-        for pdu in state.send_log {
-            e.sl.record(pdu);
-        }
-        e.buf_known = state.buf_known;
-        e.pending = state.pending.into();
-        e.heard_since_send = state.heard_since_send;
-        e.ret_outstanding = state.ret_outstanding;
-        e.peer_needs_update = state.peer_needs_update;
-        e.last_send_us = state.last_send_us;
-        e.peak_held_pdus = state.peak_held_pdus;
-        e.metrics = state.metrics;
-        // Owe the cluster a fresh advertisement.
-        e.frontier_version = 1;
-        e.advertised = 0;
-        Ok(e)
-    }
-
-    fn export_state(&self) -> Self::State {
-        let n = self.config.n();
+    fn export_state(&self) -> SenderState {
         SenderState {
-            fifo_next: self.fifo_next.clone(),
             peer_recv: self.peer_recv.clone(),
-            reorder: (0..n)
-                .map(|j| {
-                    self.reorder
-                        .pdus(EntityId::new(j as u32))
-                        .cloned()
-                        .collect()
-                })
-                .collect(),
-            send_log: self.sl.iter().cloned().collect(),
-            buf_known: self.buf_known.clone(),
-            pending: self.pending.iter().cloned().collect(),
-            heard_since_send: self.heard_since_send.clone(),
-            ret_outstanding: self.ret_outstanding.clone(),
-            peer_needs_update: self.peer_needs_update,
-            last_send_us: self.last_send_us,
-            peak_held_pdus: self.peak_held_pdus,
-            metrics: self.metrics,
         }
     }
 
-    fn config(&self) -> &Config {
-        &self.config
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn state_bytes(&self) -> usize {
-        let n = self.config.n();
-        let seq = std::mem::size_of::<Seq>();
-        // One O(n²) receipt-knowledge matrix plus O(n) vectors.
-        let knowledge = (n * n + n) * seq;
-        let vectors =
-            n * std::mem::size_of::<u32>() + n + n * std::mem::size_of::<Option<(Seq, u64)>>();
-        let buffered: usize = self
-            .sl
-            .iter()
-            .chain((0..n).flat_map(|j| self.reorder.pdus(EntityId::new(j as u32))))
-            .map(|p| pdu_bytes(n, p.data.len()))
-            .sum();
-        knowledge + vectors + buffered
-    }
-
-    fn held_pdus(&self) -> usize {
-        self.held()
-    }
-
-    fn peak_held_pdus(&self) -> usize {
-        self.peak_held_pdus
-    }
-
-    fn pending_submits(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.held() == 0 && self.pending.is_empty()
-    }
-
-    fn is_fully_stable(&self) -> bool {
-        let me = self.config.me.index();
-        let n = self.config.n();
-        self.is_quiescent()
-            && (0..n)
-                .filter(|&j| j != me)
-                .all(|j| (0..n).all(|k| self.recv(j, k) >= self.fifo_next[k]))
-    }
-
-    fn free_buffer_units(&self) -> u32 {
-        self.free_buf()
-    }
-
-    fn submit<O: Observer>(
-        &mut self,
-        data: Bytes,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
-    ) -> Result<SubmitOutcome, ProtocolError> {
-        if data.len() > self.config.max_payload {
-            return Err(ProtocolError::PayloadTooLarge {
-                size: data.len(),
-                max: self.config.max_payload,
-            });
-        }
-        if self.pending.is_empty() && self.gate_open() {
-            observer.on_event(ProtocolEvent::Submitted { now_us });
-            let seq = self.broadcast_data(data, now_us, observer, sink);
-            Ok(SubmitOutcome::Sent(seq))
-        } else {
-            if self.pending.len() >= MAX_QUEUED_SUBMITS {
-                return Err(ProtocolError::SubmitQueueFull {
-                    limit: MAX_QUEUED_SUBMITS,
-                });
+    /// Monotonic fold of a peer's receipt frontier into its `peer_recv`
+    /// row, pruning the send log below what everyone has when it moves.
+    fn observe(&mut self, pdu: &Pdu, fifo: &mut ReliableFifo) -> bool {
+        let row = pdu.src().index() * self.n;
+        let mut moved = false;
+        for (k, &a) in pdu.ack().iter().enumerate().take(self.n) {
+            let slot = &mut self.peer_recv[row + k];
+            if a > *slot {
+                *slot = a;
+                moved = true;
             }
-            observer.on_event(ProtocolEvent::Submitted { now_us });
-            observer.on_event(ProtocolEvent::FlowClosed { now_us });
-            let me = self.config.me.index();
-            observer.on_event(ProtocolEvent::FlowBlocked {
-                outstanding: self.fifo_next[me].get() - self.min_recv_of_me().get(),
-                limit: flow_limit(
-                    self.config.window,
-                    self.min_buf(),
-                    self.config.pdu_buf_units,
-                    self.config.n(),
-                ),
-                now_us,
-            });
-            self.pending.push_back(data);
-            self.metrics.flow_blocked += 1;
-            Ok(SubmitOutcome::Queued)
         }
+        if moved {
+            fifo.prune_send_log(self.min_recv_of(self.me, fifo));
+        }
+        // Lag detection (same two-half rule as the hybrid core): the
+        // sender misses data we have, or its aggregated receipt knowledge
+        // (`acked`) trails our frontier — the latter is how a sender whose
+        // causal gate wedged on lost confirmations gets its refresher.
+        let Pdu::AckOnly(a) = pdu else { return false };
+        let next = fifo.frontier();
+        (0..self.n).any(|j| a.ack[j] < next[j] || a.acked[j] < next[j])
     }
 
-    fn on_validated_pdu<O: Observer>(
+    /// Acceptance *is* delivery in this core: the sender already
+    /// guaranteed every causal dependency was delivered here before this
+    /// PDU was transmitted (see the [module docs](self)).
+    fn accept<O: Observer, S: ActionSink>(
         &mut self,
-        pdu: Pdu,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
     ) {
-        let from = pdu.src();
-        self.heard_since_send[from.index()] = true;
-        self.buf_known[from.index()] = pdu.buf();
-        match pdu {
-            Pdu::Data(p) => self.on_data(p, now_us, observer, sink),
-            Pdu::Ret(r) => self.on_ret(r, now_us, observer, sink),
-            Pdu::AckOnly(a) => self.on_ack_only(a, now_us, observer, sink),
-        }
-        self.try_flush_pending(now_us, observer, sink);
+        fifo.deliver(p, out);
     }
 
-    fn end_batch<O: Observer>(
+    /// Self-delivery on send: our own message's dependencies are, by
+    /// definition, already delivered locally.
+    fn sent<O: Observer, S: ActionSink>(
         &mut self,
-        now_us: u64,
-        observer: &mut O,
-        sink: &mut impl ActionSink,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
     ) {
-        self.maybe_confirm(now_us, observer, sink);
-        self.note_peak();
+        fifo.note_accepted(p.src, p.seq, false, out);
+        fifo.deliver(p, out);
     }
 
-    fn on_tick<O: Observer>(&mut self, now_us: u64, observer: &mut O, sink: &mut impl ActionSink) {
-        let timeout = match self.config.deferral {
-            DeferralPolicy::Immediate => 0,
-            DeferralPolicy::Deferred { timeout_us } => timeout_us,
-        };
-        if self.peer_needs_update
-            && now_us.saturating_sub(self.last_send_us) >= self.reply_pace_us()
-        {
-            self.peer_needs_update = false;
-            self.send_ack_only(now_us, observer, sink);
-        } else if (self.unadvertised() && now_us.saturating_sub(self.last_send_us) >= timeout)
-            || (!self.is_fully_stable()
-                && now_us.saturating_sub(self.last_send_us) >= self.heartbeat_interval())
-        {
-            self.send_ack_only(now_us, observer, sink);
-        }
-        for j in 0..self.config.n() {
-            let source = EntityId::new(j as u32);
-            let Some((lseq, when)) = self.ret_outstanding[j] else {
-                continue;
-            };
-            if self.fifo_next[j] >= lseq {
-                self.ret_outstanding[j] = None;
-                continue;
-            }
-            if now_us.saturating_sub(when) >= self.config.ret_retry_us {
-                self.ret_outstanding[j] = None;
-                self.send_ret(source, lseq, now_us, observer, sink);
-            }
-        }
-        // The gate can open from a tick alone only via state restored or
-        // timers; re-check so queued submissions never stall on a missed
-        // edge.
-        self.try_flush_pending(now_us, observer, sink);
-        self.note_peak();
+    fn confirmed_of_me(&self, fifo: &ReliableFifo) -> Seq {
+        self.min_recv_of(self.me, fifo)
     }
 
-    fn next_deadline(&self, _now_us: u64) -> Option<u64> {
-        let mut deadline: Option<u64> = None;
-        let mut consider = |t: u64| {
-            deadline = Some(deadline.map_or(t, |d: u64| d.min(t)));
-        };
-        if self.peer_needs_update {
-            consider(self.last_send_us.saturating_add(self.reply_pace_us()));
-        }
-        if self.unadvertised() {
-            let timeout = match self.config.deferral {
-                DeferralPolicy::Immediate => 0,
-                DeferralPolicy::Deferred { timeout_us } => timeout_us,
-            };
-            consider(self.last_send_us.saturating_add(timeout));
-        } else if !self.is_fully_stable() {
-            consider(self.last_send_us.saturating_add(self.heartbeat_interval()));
-        }
-        for j in 0..self.config.n() {
-            if let Some((lseq, when)) = self.ret_outstanding[j] {
-                if self.fifo_next[j] < lseq {
-                    consider(when.saturating_add(self.config.ret_retry_us));
-                }
-            }
-        }
-        deadline
+    /// The causal send gate: every foreign message this entity has
+    /// delivered must be known received by *all* peers. The own column is
+    /// exempt (per-source FIFO at the receivers orders own messages), so
+    /// a window of own broadcasts stays in flight.
+    fn gate_open(&self, fifo: &ReliableFifo) -> bool {
+        self.peers_cover_frontier(fifo, Some(self.me))
+    }
+
+    /// Wire mapping: `ack` and `packed` are the received(= delivery)
+    /// frontier; `acked[k]` is the lowest receipt knowledge of `E_k`
+    /// across peers — peers use it to spot that our gate is wedged on
+    /// confirmations we never got, and reply with a refresher.
+    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+        let acked = (0..self.n).map(|k| self.min_recv_of(k, fifo)).collect();
+        (fifo.frontier().to_vec(), acked)
+    }
+
+    fn held(&self) -> usize {
+        0
+    }
+
+    fn state_bytes(&self, n: usize) -> usize {
+        // One O(n²) receipt-knowledge matrix; nothing is ever buffered.
+        n * n * std::mem::size_of::<Seq>()
+    }
+
+    fn is_stable(&self, fifo: &ReliableFifo) -> bool {
+        self.peers_cover_frontier(fifo, None)
     }
 }

@@ -6,10 +6,10 @@
 //! [`crate::Entity::snapshot`] exposes that view as one serializable
 //! value.
 
-use bytes::Bytes;
 use causal_order::{EntityId, Seq};
 use co_wire::DataPdu;
 
+use crate::fifo::FifoState;
 use crate::metrics::Metrics;
 
 /// The *complete* protocol state of an entity, captured by
@@ -21,42 +21,35 @@ use crate::metrics::Metrics;
 /// failure model, not amnesia), and `co-check`'s crash-restart fault
 /// exercises precisely that assumption.
 ///
+/// Two halves, mirroring the engine: what the [`crate::ReliableFifo`]
+/// substrate owns for every core, and the core's own knowledge and
+/// ordering buffers (`S` is [`crate::DeliveryCore::State`]; the default is
+/// the reference core's).
+///
 /// Not serializable on purpose: it carries raw PDUs ([`DataPdu`] with
-/// [`Bytes`] payloads) and exists for in-process restart simulation, not
-/// for durable storage.
+/// [`bytes::Bytes`] payloads) and exists for in-process restart
+/// simulation, not for durable storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntityState {
-    /// `REQ_j` for every `j`.
-    pub req: Vec<Seq>,
+pub struct EntityState<S = CoState> {
+    /// The substrate's state: frontier, reorder buffer, send log, queued
+    /// submissions, confirmation pacing, counters.
+    pub fifo: FifoState,
+    /// The core's state.
+    pub core: S,
+}
+
+/// Exported [`crate::CoCore`] state: the matrices and the two receipt
+/// logs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoState {
     /// The acceptance matrix `AL`, row-major `[source][observer]`.
     pub al: Vec<Seq>,
     /// The pre-acknowledgment matrix `PAL`, row-major `[source][observer]`.
     pub pal: Vec<Seq>,
-    /// Latest advertised free buffer units per entity.
-    pub buf_known: Vec<u32>,
-    /// The sending log, in sequence order.
-    pub send_log: Vec<DataPdu>,
     /// The per-source receipt logs, oldest first.
     pub rrl: Vec<Vec<DataPdu>>,
     /// The causally ordered pre-acknowledged log, top first.
     pub prl: Vec<DataPdu>,
-    /// Out-of-order PDUs awaiting gap repair, grouped per source,
-    /// ascending by sequence.
-    pub reorder: Vec<Vec<DataPdu>>,
-    /// Payloads queued behind the flow condition, oldest first.
-    pub pending: Vec<Bytes>,
-    /// Which peers were heard from since the last own transmission.
-    pub heard_since_send: Vec<bool>,
-    /// Outstanding `RET` per source: `(lseq, when_sent_us)`.
-    pub ret_outstanding: Vec<Option<(Seq, u64)>>,
-    /// Whether a lag reply is owed to a peer.
-    pub peer_needs_update: bool,
-    /// Last transmission time, µs.
-    pub last_send_us: u64,
-    /// High-water mark of protocol-buffer occupancy.
-    pub peak_held_pdus: usize,
-    /// Cumulative counters.
-    pub metrics: Metrics,
 }
 
 /// A serializable summary of an entity's protocol state.
@@ -214,11 +207,11 @@ mod tests {
         let original = messy_entity();
         let state = original.export_state();
         // The messy state exercises every structure.
-        assert!(!state.send_log.is_empty());
-        assert!(state.rrl.iter().any(|log| !log.is_empty()));
-        assert!(state.reorder.iter().any(|buf| !buf.is_empty()));
-        assert!(!state.pending.is_empty());
-        assert!(state.ret_outstanding.iter().any(Option::is_some));
+        assert!(!state.fifo.send_log.is_empty());
+        assert!(state.core.rrl.iter().any(|log| !log.is_empty()));
+        assert!(state.fifo.reorder.iter().any(|buf| !buf.is_empty()));
+        assert!(!state.fifo.pending.is_empty());
+        assert!(state.fifo.ret_outstanding.iter().any(Option::is_some));
 
         let restored = Entity::restore(original.config().clone(), state.clone()).unwrap();
         assert_eq!(
@@ -269,11 +262,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cluster size mismatch")]
     fn restore_rejects_mismatched_dimensions() {
+        use crate::config::ConfigError;
+
         let state = fresh(3).export_state();
         let cfg = Config::builder(0, 2, EntityId::new(0)).build().unwrap();
-        let _ = Entity::restore(cfg, state);
+        assert_eq!(
+            Entity::restore(cfg.clone(), state.clone()).err(),
+            Some(ConfigError::StateMismatch {
+                field: "next",
+                expected: 2,
+                got: 3
+            })
+        );
+        // A core-owned field is checked the same way.
+        let mut state = state;
+        state.fifo = fresh(2).export_state().fifo;
+        assert_eq!(
+            Entity::restore(cfg, state).err(),
+            Some(ConfigError::StateMismatch {
+                field: "al",
+                expected: 4,
+                got: 9
+            })
+        );
     }
 
     #[test]

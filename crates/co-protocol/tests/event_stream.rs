@@ -13,7 +13,7 @@
 use bytes::Bytes;
 use causal_order::EntityId;
 use co_observe::{CounterFold, DigestObserver, EventLog, Tee};
-use co_protocol::{Action, Config, Entity, Pdu};
+use co_protocol::{Action, CoCore, Config, Entity, Pdu};
 use proptest::prelude::*;
 
 type TestObserver = Tee<DigestObserver, EventLog>;
@@ -23,7 +23,7 @@ type TestObserver = Tee<DigestObserver, EventLog>;
 /// queued PDU arrives where (possibly out of order), what gets lost, and
 /// when ticks fire.
 struct Net {
-    entities: Vec<Entity<TestObserver>>,
+    entities: Vec<Entity<CoCore, TestObserver>>,
     /// Per-destination inbox of undelivered PDUs.
     inflight: Vec<Vec<Pdu>>,
     now: u64,

@@ -212,11 +212,11 @@ fn split(actions: Vec<Action>, out: &mut Replay) {
 /// counters) that never affect matrices, logs, ordering, or `REQ`.
 fn normalized(e: &Entity) -> EntityState {
     let mut s = e.export_state();
-    s.heard_since_send.clear();
-    s.peer_needs_update = false;
-    s.last_send_us = 0;
-    s.peak_held_pdus = 0;
-    s.metrics = Metrics::default();
+    s.fifo.heard_since_send.clear();
+    s.fifo.peer_needs_update = false;
+    s.fifo.last_send_us = 0;
+    s.fifo.peak_held_pdus = 0;
+    s.fifo.metrics = Metrics::default();
     s
 }
 

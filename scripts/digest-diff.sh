@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Checks that this checkout behaves bit-identically to <base-ref>:
+#
+#   scripts/digest-diff.sh [--offline] <base-ref>
+#
+# Builds co-check at both commits with the same dependency resolution and
+# compares the `digest` / `event digest` folds of its final report on
+#   * 200 schedules at seed 0 for each of 3 cores x 4 --network presets,
+#   * the batched-acceptance smoke (seed 1, --batch 8) per core,
+#   * a --replay of every reproducer under tests/regressions/,
+# failing on the first cell whose folds differ. No digest literal is
+# pinned anywhere because the values depend on the `rand` the build
+# resolved; only two builds with one resolution can be compared.
+#
+# Both sides run this checkout's co-check (the instrument) over their own
+# product crates, so a change to schedule generation or reporting cannot
+# show up as a product difference. If this checkout's co-check does not
+# build against <base-ref>'s product, <base-ref>'s own co-check is used.
+#
+# Online, plain cargo resolves the registry and the base reuses this
+# checkout's Cargo.lock; with --offline both sides build through
+# scripts/offline-cargo.sh (stand-in crates, see there).
+set -euo pipefail
+
+cargo_cmd=(cargo)
+if [[ ${1:-} == --offline ]]; then
+    cargo_cmd=("$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)/offline-cargo.sh")
+    shift
+fi
+base_ref=${1:?usage: digest-diff.sh [--offline] <base-ref>}
+
+head=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
+target=${CARGO_TARGET_DIR:-$head/target}
+work=$(mktemp -d)
+base=$work/base
+trap 'git -C "$head" worktree remove --force "$base" 2>/dev/null; rm -rf "$work"' EXIT
+git -C "$head" worktree add --quiet --detach "$base" "$base_ref"
+
+build() { # <checkout> <target-dir>
+    (cd "$1" && CARGO_TARGET_DIR=$2 "${cargo_cmd[@]}" build --release --quiet -p co-check)
+}
+build "$head" "$target"
+[[ -f $head/Cargo.lock ]] && cp "$head/Cargo.lock" "$base/Cargo.lock"
+mv "$base/crates/co-check" "$work/base-co-check"
+cp -r "$head/crates/co-check" "$base/crates/co-check"
+if ! build "$base" "$target/digest-diff-base"; then
+    echo "digest-diff: this checkout's co-check does not build against $base_ref; using its own" >&2
+    rm -rf "$base/crates/co-check"
+    mv "$work/base-co-check" "$base/crates/co-check"
+    build "$base" "$target/digest-diff-base"
+fi
+
+# The digest lines of a report (exploration or replay), or nothing.
+folds() { # <co-check binary> <args...>
+    local out status=0
+    out=$("$@" --out "$work" 2>&1) || status=$?
+    # Replaying the fixed corpus exits 1 by design (nothing reproduces).
+    if [[ $status -ne 0 && $2 != --replay ]]; then
+        echo "$out" >&2
+        return 1
+    fi
+    grep -E '^ +(event )?digest' <<<"$out" || true
+}
+compare() { # <label> <args...>
+    local label=$1 ours theirs
+    shift
+    ours=$(folds "$target/release/co-check" "$@")
+    theirs=$(folds "$target/digest-diff-base/release/co-check" "$@")
+    if [[ -z $ours || -z $theirs ]]; then
+        echo "digest-diff: $label: no digest in the report (does $base_ref predate co-check's digest fold?)" >&2
+        exit 2
+    fi
+    if [[ $ours != "$theirs" ]]; then
+        printf 'digest-diff: %s DIFFERS\n  this checkout:\n%s\n  %s:\n%s\n' \
+            "$label" "$ours" "$base_ref" "$theirs" >&2
+        exit 1
+    fi
+    echo "identical  $label"
+}
+
+for core in co hybrid sender; do
+    for network in uniform contended asymmetric wan; do
+        compare "$core x $network" --schedules 200 --seed 0 --core "$core" --network "$network"
+    done
+    compare "$core batched" --schedules 200 --seed 1 --core "$core" --batch 8
+done
+for reproducer in "$head"/tests/regressions/*.json "$head"/tests/regressions/fixed/*.json; do
+    compare "replay ${reproducer#"$head"/}" --replay "$reproducer"
+done
+echo "digest-diff: bit-identical to $base_ref on every cell"

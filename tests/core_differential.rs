@@ -2,12 +2,12 @@
 //!
 //! The same seeded `co-check` schedules are run on every
 //! [`co_protocol::DeliveryCore`] engine (`co`, `hybrid`, `sender`), and
-//! each run must (a) satisfy every oracle applicable to that core's
-//! guarantee level and (b) produce **the same per-node delivered
-//! message sets** as the reference engine. The cores differ in *when*
-//! and *with how much buffered state* they deliver — never in *what*:
-//! a clean run delivers every broadcast exactly once at every node, in
-//! an order consistent with the causal precedence the workload induced.
+//! each run must (a) satisfy every oracle and (b) produce **the same
+//! per-node delivered message sets** as the reference engine. The cores
+//! differ in *when* and *with how much buffered state* they deliver —
+//! never in *what*: a clean run delivers every broadcast exactly once at
+//! every node, in an order consistent with the causal precedence the
+//! workload induced.
 //!
 //! This is the cross-engine analogue of `tests/check_regressions.rs`:
 //! where that file pins known counterexamples, this one pins agreement
@@ -61,7 +61,7 @@ fn all_cores_agree_on_what_is_delivered() {
             );
             let mut delivered = delivered_per_node(&traces);
             // Compare as sets: cores legitimately deliver in different
-            // orders (each satisfies its own guarantee level); the
+            // orders (each causally consistent); the
             // per-core ordering oracles already ran above.
             for node in &mut delivered {
                 node.sort_unstable();

@@ -63,7 +63,7 @@ fn all_cores_agree_under_every_network_preset() {
                 );
                 let mut delivered = delivered_per_node(&traces);
                 // Compare as sets: cores legitimately deliver in different
-                // orders (each satisfies its own guarantee level); the
+                // orders (each causally consistent); the
                 // per-core ordering oracles already ran above.
                 for node in &mut delivered {
                     node.sort_unstable();
