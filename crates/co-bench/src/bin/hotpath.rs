@@ -615,7 +615,32 @@ fn append_run(existing: &str, run: &str) -> String {
     format!("[\n{trimmed},\n{run}\n]\n")
 }
 
+/// glibc hands a freed heap top back to the kernel once it passes
+/// `M_TRIM_THRESHOLD`. Every accept row frees tens of MB when its entity
+/// drops, so whether the *next* row runs on mapped pages or faults each
+/// one in again (+80% at n = 64, on rows that share no code with the row
+/// before) comes down to what the previous teardown happened to leave on
+/// top of the heap: a change to one row's allocations moved every other
+/// row (results/README.md has the fault counts). The rows price steady
+/// state, so the heap stays mapped.
+fn keep_freed_heap_mapped() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        // SAFETY: `mallopt` only stores a tunable inside glibc's allocator;
+        // this runs once, first thing in `main`, before another thread
+        // exists.
+        unsafe {
+            mallopt(M_TRIM_THRESHOLD, i32::MAX);
+        }
+    }
+}
+
 fn main() {
+    keep_freed_heap_mapped();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let guard = if let Some(i) = args.iter().position(|a| a == "--guard") {
         args.remove(i);

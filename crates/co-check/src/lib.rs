@@ -50,14 +50,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod node;
 pub mod oracles;
 pub mod plan;
 pub mod runner;
 pub mod shrink;
 
-pub use json::Json;
+pub use co_observe::Json;
 pub use node::{AppEvent, CheckCmd, CheckNode, CheckObserver};
 pub use oracles::{
     check, check_spans, check_stage_order, Category, CheckViolation, RunObservation,

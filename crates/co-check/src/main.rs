@@ -241,10 +241,7 @@ fn write_merged_trace(path: &str, traces: &[Vec<ProtocolEvent>]) -> std::io::Res
             })
         })
         .collect();
-    lines.sort_by_key(|l| match l {
-        TraceLine::Event { event, .. } => event.now_us(),
-        TraceLine::HostTco { at_us, .. } => *at_us,
-    });
+    lines.sort_by_key(TraceLine::t_us);
     let text: String = lines.iter().map(|l| jsonl::encode_line(l) + "\n").collect();
     std::fs::write(path, text)
 }

@@ -287,7 +287,7 @@ pub fn check_spans(traces: &[Vec<ProtocolEvent>]) -> Vec<CheckViolation> {
                 missing + 1,
             ));
         }
-        for (node, stage) in span.stages.iter().enumerate() {
+        for (node, stage) in &span.stages {
             if stage.deliver_us.is_some() && !stage.complete() {
                 fail(format!(
                     "{label} delivered at E{} with a gap in its span \

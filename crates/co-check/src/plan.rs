@@ -6,15 +6,13 @@
 //! byte-identical (same [`mc_net::Simulator::trace_digest`]), which is what
 //! makes shrinking and reproducer replay possible.
 //!
-//! Scenarios serialize to JSON (via the dependency-free [`crate::json`]
-//! module) so a shrunken counterexample can be committed to
+//! Scenarios serialize to JSON (via the workspace codec,
+//! [`co_observe::Json`]) so a shrunken counterexample can be committed to
 //! `tests/regressions/` and replayed by a plain `#[test]`.
 
-use co_observe::RecorderDump;
+use co_observe::{Json, RecorderDump};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::json::Json;
 
 /// Latest time (µs) at which any workload submit may be scheduled.
 pub const WORKLOAD_HORIZON_US: u64 = 20_000;
@@ -738,20 +736,6 @@ pub struct Reproducer {
     pub flight_recorders: Vec<RecorderDump>,
 }
 
-fn recorder_dump_to_json(dump: &RecorderDump) -> Json {
-    Json::Obj(vec![
-        ("node".to_string(), Json::Num(u64::from(dump.node))),
-        ("core".to_string(), Json::Str(dump.core.clone())),
-        ("network".to_string(), Json::Str(dump.network.clone())),
-        ("capacity".to_string(), Json::Num(dump.capacity as u64)),
-        ("evicted".to_string(), Json::Num(dump.evicted)),
-        (
-            "events".to_string(),
-            Json::Arr(dump.event_lines().into_iter().map(Json::Str).collect()),
-        ),
-    ])
-}
-
 fn recorder_dump_from_json(v: &Json) -> Result<RecorderDump, String> {
     let node = u32::try_from(v.field_u64("node")?)
         .map_err(|_| "recorder node out of range".to_string())?;
@@ -806,7 +790,7 @@ impl Reproducer {
                 Json::Arr(
                     self.flight_recorders
                         .iter()
-                        .map(recorder_dump_to_json)
+                        .map(RecorderDump::to_json)
                         .collect(),
                 ),
             ));

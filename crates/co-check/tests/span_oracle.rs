@@ -174,13 +174,13 @@ fn forced_loss_burst_is_survivable_and_detectable() {
                 })
             })
             .collect();
-        let set = co_trace::stitch(&lines);
         let cfg = co_trace::AnomalyConfig {
             ret_storm_requests: 2,
             ret_storm_window_us: 30_000,
             ..co_trace::AnomalyConfig::default()
         };
-        storms += co_trace::detect(&lines, &set, &cfg)
+        storms += co_trace::analyze(&lines, &cfg)
+            .findings
             .iter()
             .filter(|f| f.kind() == "ret_storm")
             .count();

@@ -4,6 +4,7 @@
 //! tail of the same file through the streaming detectors — findings
 //! surface while the run is still producing the trace.
 
+use co_observe::Json;
 use co_trace::{AnomalyConfig, Finding, StreamingDetectors};
 
 use crate::args::ArgError;
@@ -210,18 +211,16 @@ impl TraceWatcher {
 /// One-line kind-count summary as JSON (insertion order fixed by
 /// [`Finding::KINDS`]), used by `watch --once --json`.
 fn kind_counts_json(detectors: &StreamingDetectors) -> String {
-    let mut out = String::from("{\"kind_counts\":{");
     let counts = detectors.kind_counts();
-    let mut total = 0u64;
-    for (i, (kind, count)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{kind}\":{count}"));
-        total += count;
-    }
-    out.push_str(&format!("}},\"total\":{total}}}"));
-    out
+    let total = counts.iter().map(|&(_, count)| count).sum();
+    let counts = counts
+        .into_iter()
+        .map(|(kind, count)| (kind, Json::Num(count)));
+    Json::obj([
+        ("kind_counts", Json::obj(counts)),
+        ("total", Json::Num(total)),
+    ])
+    .to_compact()
 }
 
 /// Runs the watch loop: polls the trace file, printing each finding as
@@ -238,7 +237,7 @@ pub fn watch_file(args: &WatchArgs) -> Result<(), String> {
     loop {
         for finding in watcher.poll(&args.trace.path)? {
             if args.trace.json {
-                println!("{}", co_trace::finding_to_json(&finding));
+                println!("{}", co_trace::finding_to_json(&finding).to_compact());
             } else {
                 println!("{}", co_trace::describe_finding(&finding));
             }
@@ -340,6 +339,33 @@ mod tests {
     }
 
     #[test]
+    fn hostile_index_is_a_typed_error_not_an_allocation() {
+        // Analysis keeps per-node state; this line used to size it by the
+        // index it names (224 GB) and abort the process.
+        let path = std::env::temp_dir().join("co-cli-trace-hostile-index.jsonl");
+        std::fs::write(
+            &path,
+            "{\"node\":0,\"kind\":\"submitted\",\"t_us\":1}\n\
+             {\"node\":4000000000,\"kind\":\"pre_acked\",\"t_us\":1,\"src\":0,\"seq\":1}\n",
+        )
+        .unwrap();
+        let path_str = path.to_string_lossy().into_owned();
+        let err = analyze_file(&parse_trace_args(vec![path_str.clone()]).unwrap()).unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("`node`=4000000000"),
+            "{err}"
+        );
+        let err = TraceWatcher::new(AnomalyConfig::default())
+            .poll(&path_str)
+            .unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("`node`=4000000000"),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn missing_file_is_an_error() {
         let args = parse_trace_args(argv("/nonexistent/nope.jsonl")).unwrap();
         assert!(analyze_file(&args).unwrap_err().contains("cannot read"));
@@ -402,11 +428,11 @@ mod tests {
             "an unchanged file surfaces nothing new"
         );
 
-        // The watcher's end state equals an offline pass over the file.
+        // The watcher's end state equals `trace analyze` over the file.
         let text = std::fs::read_to_string(&path).unwrap();
         let lines = co_observe::jsonl::parse_trace_strict(&text).unwrap();
-        let offline = co_trace::detect(&lines, &co_trace::stitch(&lines), &cfg);
-        assert_eq!(watcher.detectors().findings(), offline);
+        let analyzed = co_trace::analyze(&lines, &cfg).findings;
+        assert_eq!(watcher.detectors().findings(), analyzed);
 
         // Truncation resets to a fresh pass.
         std::fs::write(&path, line1).unwrap();

@@ -1,14 +1,16 @@
-//! A minimal JSON value, printer and parser.
+//! The workspace's JSON codec: a minimal value, two printers and a parser.
 //!
-//! The workspace deliberately adds no new dependencies, so reproducer
-//! artifacts are (de)serialized by hand. The subset is exactly what
-//! [`crate::plan::Scenario`] needs: objects, arrays, strings, booleans and
-//! **non-negative integers** (every numeric field in a scenario is a count,
-//! a microsecond timestamp or an id). Floats and negative numbers are
-//! rejected on parse — a reproducer containing one is corrupt.
+//! The workspace deliberately adds no new dependencies, so everything it
+//! writes or reads as JSON — `co-check` reproducers, trace lines, analysis
+//! reports, recorder dumps — goes through this one module. The subset is
+//! objects, arrays, strings, booleans and **non-negative integers** (every
+//! number the workspace serializes is a count, a microsecond timestamp or
+//! an id). Floats and negative numbers are rejected on parse — a document
+//! containing one is corrupt.
 //!
-//! Output is deterministic: object keys keep insertion order and the
-//! printer is byte-stable, so a reproducer file replays byte-for-byte.
+//! Output is deterministic: object keys keep insertion order and both
+//! printers are byte-stable, so a reproducer file replays byte-for-byte
+//! and two reports of one trace compare with `cmp`.
 
 use std::fmt;
 
@@ -30,6 +32,21 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, keeping their order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
+    /// An array of numbers.
+    pub fn nums<T: Into<u64>>(values: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(values.into_iter().map(|v| Json::Num(v.into())).collect())
+    }
+
     /// Looks up `key` in an object; `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -120,6 +137,49 @@ impl fmt::Display for Json {
 }
 
 impl Json {
+    /// The single-line form (trace reports, recorder dumps, watch output).
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.write_compact(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_compact(&self, f: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Json::Null => write!(f, "null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(v) => write!(f, "{v}"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => {
+                // A list of numbers keeps the `[1, 2]` spelling the finding
+                // lists (`missing`, `requesters`, `sources`) have always
+                // had; reports are compared byte for byte across versions.
+                let numbers = items.iter().all(|item| matches!(item, Json::Num(_)));
+                write!(f, "[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, "{}", if numbers { ", " } else { "," })?;
+                    }
+                    item.write_compact(f)?;
+                }
+                write!(f, "]")
+            }
+            Json::Obj(fields) => {
+                write!(f, "{{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ",")?;
+                    }
+                    write_escaped(f, key)?;
+                    write!(f, ":")?;
+                    value.write_compact(f)?;
+                }
+                write!(f, "}}")
+            }
+        }
+    }
+
     fn write_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let pad = "  ".repeat(depth + 1);
         let close = "  ".repeat(depth);
@@ -154,7 +214,7 @@ impl Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     write!(f, "\"")?;
     for c in s.chars() {
         match c {
@@ -214,7 +274,7 @@ impl Parser<'_> {
             Some(b'{') => self.object(),
             Some(b'0'..=b'9') => self.number(),
             Some(b'-') => Err(format!(
-                "negative number at byte {} (scenario fields are non-negative)",
+                "negative number at byte {} (only non-negative integers are supported)",
                 self.pos
             )),
             Some(other) => Err(format!(
@@ -232,7 +292,7 @@ impl Parser<'_> {
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(format!(
-                "float at byte {start} (scenario fields are integers)"
+                "float at byte {start} (only non-negative integers are supported)"
             ));
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
@@ -368,6 +428,25 @@ mod tests {
         assert_eq!(Json::parse(&text).unwrap(), doc);
         // Byte-stable: printing the re-parsed value reproduces the text.
         assert_eq!(Json::parse(&text).unwrap().to_string(), text);
+    }
+
+    #[test]
+    fn compact_form_is_one_line_and_parses_back() {
+        let doc = Json::obj([
+            ("kind", Json::Str("ret_storm".to_string())),
+            ("requesters", Json::nums([1u32, 2])),
+            ("lines", Json::Arr(vec![Json::Str("{\"a\":1}".to_string())])),
+            ("rows", Json::Arr(vec![Json::obj([]), Json::obj([])])),
+            ("starved", Json::Bool(false)),
+            ("ctl", Json::Str("\u{1}\\".to_string())),
+        ]);
+        let text = doc.to_compact();
+        assert_eq!(
+            text,
+            "{\"kind\":\"ret_storm\",\"requesters\":[1, 2],\
+             \"lines\":[\"{\\\"a\\\":1}\"],\"rows\":[{},{}],\"starved\":false,\"ctl\":\"\\u0001\\\\\"}"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]

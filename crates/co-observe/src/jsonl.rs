@@ -1,7 +1,7 @@
 //! JSONL trace exporter, parser, and offline Tco/Tap analysis.
 //!
-//! One JSON object per line, flat, hand-rolled (the workspace carries no
-//! JSON dependency). Two record kinds share the stream:
+//! One JSON object per line, flat; read back through the workspace codec
+//! ([`crate::Json`]). Two record kinds share the stream:
 //!
 //! * protocol events, tagged by [`ProtocolEvent::kind`], with the fields
 //!   of the variant (`{"node":0,"kind":"accepted","t_us":812,"src":1,
@@ -23,6 +23,13 @@ use std::collections::HashMap;
 use causal_order::{EntityId, Seq};
 
 use crate::event::ProtocolEvent;
+use crate::json::Json;
+
+/// Node, source and peer indices a trace line may name: co-wire's
+/// `MAX_ACK_LEN`, the largest cluster a PDU can describe. Analysis keeps
+/// per-index state (node count, per-destination breakdowns), so a line
+/// naming a larger index is rejected where it enters, not allocated for.
+pub const MAX_ENTITIES: u64 = 4096;
 
 /// One line of a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +50,16 @@ pub enum TraceLine {
         /// Engine processing duration, µs.
         dur_us: u64,
     },
+}
+
+impl TraceLine {
+    /// The line's shared-epoch timestamp, µs — the merge key of traces.
+    pub fn t_us(&self) -> u64 {
+        match self {
+            TraceLine::Event { event, .. } => event.now_us(),
+            TraceLine::HostTco { at_us, .. } => *at_us,
+        }
+    }
 }
 
 fn push_field(out: &mut String, key: &str, value: u64) {
@@ -148,54 +165,6 @@ pub fn encode_line(line: &TraceLine) -> String {
     out
 }
 
-/// A parsed flat-JSON field value.
-enum FieldValue<'a> {
-    Num(u64),
-    Bool(bool),
-    Str(&'a str),
-}
-
-/// Parses one flat JSON object (string/unsigned-number/bool values only)
-/// into its fields. Returns `None` on malformed input.
-fn parse_flat<'a>(line: &'a str) -> Option<Vec<(&'a str, FieldValue<'a>)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let key_end = rest.find('"')?;
-        let key = &rest[..key_end];
-        rest = rest[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')?
-            .trim_start();
-        let (value, after) = if let Some(tail) = rest.strip_prefix('"') {
-            let end = tail.find('"')?;
-            (FieldValue::Str(&tail[..end]), &tail[end + 1..])
-        } else if let Some(tail) = rest.strip_prefix("true") {
-            (FieldValue::Bool(true), tail)
-        } else if let Some(tail) = rest.strip_prefix("false") {
-            (FieldValue::Bool(false), tail)
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return None;
-            }
-            (FieldValue::Num(rest[..end].parse().ok()?), &rest[end..])
-        };
-        fields.push((key, value));
-        rest = after.trim_start();
-        if let Some(tail) = rest.strip_prefix(',') {
-            rest = tail.trim_start();
-        } else if !rest.is_empty() {
-            return None;
-        }
-    }
-    Some(fields)
-}
-
 /// Why one trace line failed to parse strictly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LineError {
@@ -206,7 +175,7 @@ pub enum LineError {
     MissingField(&'static str),
     /// The `kind` tag names no record this decoder knows.
     UnknownKind(String),
-    /// An entity-id field exceeds the 32-bit id space.
+    /// A node, source or peer index is not below [`MAX_ENTITIES`].
     EntityOutOfRange {
         /// The offending field key.
         field: &'static str,
@@ -222,7 +191,10 @@ impl std::fmt::Display for LineError {
             LineError::MissingField(key) => write!(f, "missing field `{key}`"),
             LineError::UnknownKind(kind) => write!(f, "unknown event kind `{kind}`"),
             LineError::EntityOutOfRange { field, value } => {
-                write!(f, "entity id `{field}`={value} exceeds the u32 id space")
+                write!(
+                    f,
+                    "entity index `{field}`={value} is not below {MAX_ENTITIES}"
+                )
             }
         }
     }
@@ -251,48 +223,34 @@ impl std::error::Error for TraceError {}
 /// are an error here — use [`parse_line`]/[`parse_trace`] when forward
 /// compatibility with newer writers matters more than diagnostics.
 pub fn parse_line_strict(line: &str) -> Result<TraceLine, LineError> {
-    let fields = parse_flat(line).ok_or(LineError::Malformed)?;
+    let nested = |v: &Json| matches!(v, Json::Null | Json::Arr(_) | Json::Obj(_));
+    let obj = match Json::parse(line) {
+        Ok(Json::Obj(fields)) if !fields.iter().any(|(_, v)| nested(v)) => Json::Obj(fields),
+        _ => return Err(LineError::Malformed),
+    };
     let num = |key: &'static str| {
-        fields
-            .iter()
-            .find_map(|(k, v)| match v {
-                FieldValue::Num(n) if *k == key => Some(*n),
-                _ => None,
-            })
+        obj.get(key)
+            .and_then(Json::as_u64)
             .ok_or(LineError::MissingField(key))
     };
     let boolean = |key: &'static str| {
-        fields
-            .iter()
-            .find_map(|(k, v)| match v {
-                FieldValue::Bool(b) if *k == key => Some(*b),
-                _ => None,
-            })
+        obj.get(key)
+            .and_then(Json::as_bool)
             .ok_or(LineError::MissingField(key))
     };
-    let ent = |key: &'static str| {
-        let raw = num(key)?;
-        u32::try_from(raw)
-            .map(EntityId::new)
-            .map_err(|_| LineError::EntityOutOfRange {
-                field: key,
-                value: raw,
-            })
-    };
-    let kind = fields
-        .iter()
-        .find_map(|(k, v)| match v {
-            FieldValue::Str(s) if *k == "kind" => Some(*s),
-            _ => None,
-        })
-        .ok_or(LineError::MissingField("kind"))?;
-    let node = {
-        let raw = num("node")?;
-        u32::try_from(raw).map_err(|_| LineError::EntityOutOfRange {
-            field: "node",
+    let index = |key: &'static str| match num(key)? {
+        raw if raw < MAX_ENTITIES => Ok(raw as u32),
+        raw => Err(LineError::EntityOutOfRange {
+            field: key,
             value: raw,
-        })?
+        }),
     };
+    let ent = |key: &'static str| index(key).map(EntityId::new);
+    let kind = obj
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or(LineError::MissingField("kind"))?;
+    let node = index("node")?;
     let t = num("t_us")?;
     let seq = || num("seq").map(Seq::new);
     let event = match kind {
@@ -613,6 +571,34 @@ mod tests {
             parse_line_strict(line),
             Err(LineError::EntityOutOfRange { field: "node", .. })
         ));
+    }
+
+    #[test]
+    fn indices_beyond_the_largest_cluster_are_a_typed_error() {
+        // Analysis sizes state by the indices a trace names; a hostile line
+        // must be refused here, before anything is sized by it.
+        for (field, line) in [
+            ("node", "{\"node\":4000000000,\"kind\":\"pre_acked\",\"t_us\":1,\"src\":0,\"seq\":1}"),
+            ("src", "{\"node\":0,\"kind\":\"pre_acked\",\"t_us\":1,\"src\":4096,\"seq\":1}"),
+            ("via", "{\"node\":0,\"kind\":\"f2_detected\",\"t_us\":1,\"src\":0,\"confirmed\":1,\"via\":4096}"),
+        ] {
+            assert!(
+                matches!(
+                    parse_line_strict(line),
+                    Err(LineError::EntityOutOfRange { field: f, .. }) if f == field
+                ),
+                "{line}"
+            );
+            assert_eq!(parse_line(line), None, "lenient parsing skips it");
+        }
+        let largest = "{\"node\":4095,\"kind\":\"submitted\",\"t_us\":1}";
+        assert!(parse_line_strict(largest).is_ok());
+    }
+
+    #[test]
+    fn nested_values_are_malformed() {
+        let line = "{\"node\":0,\"kind\":\"submitted\",\"t_us\":5,\"extra\":[1]}";
+        assert_eq!(parse_line_strict(line), Err(LineError::Malformed));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Observability layer for the CO protocol: a structured
 //! [`ProtocolEvent`] stream emitted by the engine through a pluggable
 //! [`Observer`], with fold-based [`Counters`], fixed-bucket latency
-//! [`Histogram`]s, a periodic [`SnapshotAggregator`], and two exporters
-//! (JSONL event traces in [`jsonl`], Prometheus text format in [`prom`]).
+//! [`Histogram`]s, a periodic [`SnapshotAggregator`], two exporters
+//! (JSONL event traces in [`jsonl`], Prometheus text format in [`prom`])
+//! and the workspace's one JSON codec ([`Json`]).
 //!
 //! # Design
 //!
@@ -35,6 +36,7 @@ mod counters;
 mod event;
 mod flow;
 mod histogram;
+mod json;
 pub mod jsonl;
 mod latency;
 mod observer;
@@ -46,6 +48,7 @@ pub use counters::{CounterFold, Counters};
 pub use event::ProtocolEvent;
 pub use flow::FlowGauge;
 pub use histogram::{Histogram, BUCKETS};
+pub use json::Json;
 pub use jsonl::TraceLine;
 pub use latency::LatencyTracker;
 pub use observer::{DigestObserver, EventLog, NoopObserver, Observer, Tee};

@@ -18,6 +18,7 @@
 //! ran in — node id, delivery-core name, network preset.
 
 use crate::event::ProtocolEvent;
+use crate::json::Json;
 use crate::jsonl::{self, TraceLine};
 use crate::observer::Observer;
 
@@ -169,48 +170,23 @@ impl RecorderDump {
             .collect()
     }
 
-    /// Serializes the dump as one JSON object: the labels, the loss
-    /// accounting, and the events as an array of JSONL line strings —
-    /// the same shape `co-check` embeds under `flight_recorders` in a
-    /// reproducer artifact.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 96);
-        out.push_str(&format!(
-            "{{\"node\":{},\"core\":\"{}\",\"network\":\"{}\",\"capacity\":{},\"evicted\":{},\"events\":[",
-            self.node,
-            escape_json(&self.core),
-            escape_json(&self.network),
-            self.capacity,
-            self.evicted
-        ));
-        for (i, line) in self.event_lines().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_json(line));
-            out.push('"');
-        }
-        out.push_str("]}");
-        out
+    /// The dump as one JSON object: the labels, the loss accounting, and
+    /// the events as an array of JSONL line strings. `co-check` embeds it
+    /// under `flight_recorders` in a reproducer artifact; `co-transport`
+    /// prints its compact form when a node panics.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("node", Json::Num(u64::from(self.node))),
+            ("core", Json::Str(self.core.clone())),
+            ("network", Json::Str(self.network.clone())),
+            ("capacity", Json::Num(self.capacity as u64)),
+            ("evicted", Json::Num(self.evicted)),
+            (
+                "events",
+                Json::Arr(self.event_lines().into_iter().map(Json::Str).collect()),
+            ),
+        ])
     }
-}
-
-/// Minimal JSON string escaping (the dump's own lines contain quotes).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -379,18 +355,12 @@ mod tests {
         let mut r = FlightRecorder::new(2);
         r.on_event(sample(1));
         let dump = RecorderDump::capture(&r, 0, "co", "uniform");
-        let json = dump.to_json();
+        let json = dump.to_json().to_compact();
         assert!(
             json.starts_with("{\"node\":0,\"core\":\"co\",\"network\":\"uniform\""),
             "{json}"
         );
         assert!(json.contains("\"capacity\":2"), "{json}");
         assert!(json.contains("\\\"kind\\\":\\\"delivered\\\""), "{json}");
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

@@ -1,12 +1,9 @@
-//! Anomaly rules over a stitched trace.
+//! The anomaly rules' thresholds and findings (the rules themselves are
+//! the fold in [`crate::StreamingDetectors`]).
 
-use std::collections::BTreeMap;
+use crate::span::BroadcastSpan;
 
-use co_observe::{ProtocolEvent, TraceLine};
-
-use crate::span::{BroadcastSpan, SpanSet};
-
-/// Thresholds for [`detect`]. The defaults are tuned so a clean,
+/// Thresholds of the anomaly rules. The defaults are tuned so a clean,
 /// quiesced schedule produces zero findings; `co-cli trace analyze`
 /// exposes each as a flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +55,8 @@ pub enum Finding {
         seq: u64,
         /// Time from pre-ack to the end of the trace, µs.
         waited_us: u64,
-        /// The full span, as evidence.
+        /// The span, as evidence: every node's stages on a merged trace,
+        /// the local ones from a node's live detector.
         span: BroadcastSpan,
     },
     /// A broadcast old enough to have quiesced was never delivered by
@@ -126,7 +124,7 @@ pub enum Finding {
 }
 
 impl Finding {
-    /// Every rule kind name, in the order [`detect`] emits them — the
+    /// Every rule kind name, in the order findings are reported — the
     /// stable enumeration exporters (Prometheus findings gauge, watch
     /// mode) iterate so zero-count kinds are still visible.
     pub const KINDS: [&'static str; 5] = [
@@ -150,246 +148,20 @@ impl Finding {
     }
 }
 
-fn detect_ret_storms(lines: &[TraceLine], cfg: &AnomalyConfig, out: &mut Vec<Finding>) {
-    // (time, requester) per missing source, in trace order.
-    let mut per_src: BTreeMap<u32, Vec<(u64, u32)>> = BTreeMap::new();
-    for line in lines {
-        if let TraceLine::Event {
-            node,
-            event: ProtocolEvent::RetSent { src, now_us, .. },
-        } = *line
-        {
-            per_src
-                .entry(src.index() as u32)
-                .or_default()
-                .push((now_us, node));
-        }
-    }
-    for (src, mut reqs) in per_src {
-        reqs.sort_unstable();
-        // Densest fixed-width window over the sorted request times.
-        let mut best: Option<(usize, usize, usize)> = None; // (count, lo, hi)
-        let mut lo = 0;
-        for hi in 0..reqs.len() {
-            while reqs[hi].0 - reqs[lo].0 > cfg.ret_storm_window_us {
-                lo += 1;
-            }
-            let count = hi - lo + 1;
-            if best.is_none_or(|(c, ..)| count > c) {
-                best = Some((count, lo, hi));
-            }
-        }
-        if let Some((count, lo, hi)) = best {
-            if count >= cfg.ret_storm_requests {
-                let mut requesters: Vec<u32> = reqs[lo..=hi].iter().map(|&(_, n)| n).collect();
-                requesters.sort_unstable();
-                requesters.dedup();
-                out.push(Finding::RetStorm {
-                    src,
-                    requests: count,
-                    window_us: cfg.ret_storm_window_us,
-                    from_us: reqs[lo].0,
-                    to_us: reqs[hi].0,
-                    requesters,
-                });
-            }
-        }
-    }
-}
-
-fn detect_loss_bursts(lines: &[TraceLine], cfg: &AnomalyConfig, out: &mut Vec<Finding>) {
-    // (time, source, is_f2) per detection.
-    let mut detections: Vec<(u64, u32, bool)> = Vec::new();
-    for line in lines {
-        if let TraceLine::Event { event, .. } = line {
-            match *event {
-                ProtocolEvent::F1Detected { src, now_us, .. } => {
-                    detections.push((now_us, src.index() as u32, false));
-                }
-                ProtocolEvent::F2Detected { src, now_us, .. } => {
-                    detections.push((now_us, src.index() as u32, true));
-                }
-                _ => {}
-            }
-        }
-    }
-    detections.sort_unstable();
-    let mut cluster_start = 0;
-    for i in 0..=detections.len() {
-        let closes_cluster = i == detections.len()
-            || (i > cluster_start
-                && detections[i].0 - detections[i - 1].0 > cfg.loss_cluster_gap_us);
-        if !closes_cluster {
-            continue;
-        }
-        let cluster = &detections[cluster_start..i];
-        cluster_start = i;
-        if cluster.len() < cfg.loss_cluster_min {
-            continue;
-        }
-        let f2 = cluster.iter().filter(|&&(_, _, is_f2)| is_f2).count();
-        let mut sources: Vec<u32> = cluster.iter().map(|&(_, s, _)| s).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        out.push(Finding::LossBurst {
-            detections: cluster.len(),
-            f1: cluster.len() - f2,
-            f2,
-            from_us: cluster[0].0,
-            to_us: cluster[cluster.len() - 1].0,
-            sources,
-        });
-    }
-}
-
-fn detect_flow_saturation(lines: &[TraceLine], cfg: &AnomalyConfig, out: &mut Vec<Finding>) {
-    struct Gauge {
-        blocked: usize,
-        max_outstanding: u64,
-        min_limit: u64,
-        from_us: u64,
-        to_us: u64,
-    }
-    let mut per_node: BTreeMap<u32, Gauge> = BTreeMap::new();
-    for line in lines {
-        if let TraceLine::Event {
-            node,
-            event:
-                ProtocolEvent::FlowBlocked {
-                    outstanding,
-                    limit,
-                    now_us,
-                },
-        } = *line
-        {
-            let g = per_node.entry(node).or_insert(Gauge {
-                blocked: 0,
-                max_outstanding: 0,
-                min_limit: u64::MAX,
-                from_us: now_us,
-                to_us: now_us,
-            });
-            g.blocked += 1;
-            g.max_outstanding = g.max_outstanding.max(outstanding);
-            g.min_limit = g.min_limit.min(limit);
-            g.from_us = g.from_us.min(now_us);
-            g.to_us = g.to_us.max(now_us);
-        }
-    }
-    for (node, g) in per_node {
-        if g.blocked >= cfg.flow_blocked_min {
-            out.push(Finding::FlowSaturation {
-                node,
-                blocked: g.blocked,
-                max_outstanding: g.max_outstanding,
-                min_limit: g.min_limit,
-                starved: g.min_limit == 0,
-                from_us: g.from_us,
-                to_us: g.to_us,
-            });
-        }
-    }
-}
-
-fn detect_span_anomalies(set: &SpanSet, cfg: &AnomalyConfig, out: &mut Vec<Finding>) {
-    for span in set.spans.values() {
-        for (node, stage) in span.stages.iter().enumerate() {
-            if let (Some(preack), None) = (stage.pre_ack_us, stage.deliver_us) {
-                let waited_us = set.end_us.saturating_sub(preack);
-                if waited_us > cfg.stuck_preack_us {
-                    out.push(Finding::StuckAtPreAck {
-                        node: node as u32,
-                        src: span.src,
-                        seq: span.seq,
-                        waited_us,
-                        span: span.clone(),
-                    });
-                }
-            }
-        }
-        if let Some(sent) = span.sent_us {
-            let missing = span.missing_deliveries(set.n);
-            if !missing.is_empty() && set.end_us.saturating_sub(sent) > cfg.stuck_preack_us {
-                out.push(Finding::NeverAcknowledged {
-                    src: span.src,
-                    seq: span.seq,
-                    missing,
-                    span: span.clone(),
-                });
-            }
-        }
-    }
-}
-
-/// Runs every anomaly rule over the raw trace and its stitched
-/// [`SpanSet`]. Findings come out in a deterministic order: RET storms,
-/// loss bursts, flow saturation (each keyed ascending), then the
-/// span-derived rules in span order.
-pub fn detect(lines: &[TraceLine], set: &SpanSet, cfg: &AnomalyConfig) -> Vec<Finding> {
-    let mut out = Vec::new();
-    detect_ret_storms(lines, cfg, &mut out);
-    detect_loss_bursts(lines, cfg, &mut out);
-    detect_flow_saturation(lines, cfg, &mut out);
-    detect_span_anomalies(set, cfg, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::stitch;
-    use causal_order::{EntityId, Seq};
-
-    fn ev(node: u32, event: ProtocolEvent) -> TraceLine {
-        TraceLine::Event { node, event }
-    }
-
-    fn id(i: u32) -> EntityId {
-        EntityId::new(i)
-    }
+    use crate::analyze;
+    use crate::testkit::{accepted, complete_broadcast, ev, id, pre_acked, sent, tick};
+    use causal_order::Seq;
+    use co_observe::ProtocolEvent;
 
     #[test]
     fn clean_complete_trace_has_no_findings() {
-        let (src, seq) = (id(0), Seq::new(1));
-        let mut lines = vec![ev(
-            0,
-            ProtocolEvent::DataSent {
-                src,
-                seq,
-                now_us: 10,
-            },
-        )];
-        for node in 0..2u32 {
-            if node != 0 {
-                lines.push(ev(
-                    node,
-                    ProtocolEvent::Accepted {
-                        src,
-                        seq,
-                        from_reorder: false,
-                        now_us: 20,
-                    },
-                ));
-            }
-            lines.push(ev(
-                node,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 30,
-                },
-            ));
-            lines.push(ev(
-                node,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 40,
-                },
-            ));
-        }
-        let set = stitch(&lines);
-        assert!(detect(&lines, &set, &AnomalyConfig::default()).is_empty());
+        let lines = complete_broadcast(2, 0, 1, 10);
+        assert!(analyze(&lines, &AnomalyConfig::default())
+            .findings
+            .is_empty());
     }
 
     #[test]
@@ -419,8 +191,7 @@ mod tests {
             ret(1, 1, 0),
             ret(1, 1, 10),
         ];
-        let set = stitch(&lines);
-        let findings = detect(&lines, &set, &cfg);
+        let findings = analyze(&lines, &cfg).findings;
         assert_eq!(findings.len(), 1);
         match &findings[0] {
             Finding::RetStorm {
@@ -479,8 +250,7 @@ mod tests {
             f2(9000, 0),
             f1(9050, 0),
         ];
-        let set = stitch(&lines);
-        let findings = detect(&lines, &set, &cfg);
+        let findings = analyze(&lines, &cfg).findings;
         let bursts: Vec<_> = findings
             .iter()
             .filter(|f| matches!(f, Finding::LossBurst { .. }))
@@ -524,8 +294,7 @@ mod tests {
             blocked(0, 12, 0, 200),
             blocked(1, 4, 4, 150),
         ];
-        let set = stitch(&lines);
-        let findings = detect(&lines, &set, &cfg);
+        let findings = analyze(&lines, &cfg).findings;
         assert_eq!(findings.len(), 1);
         match &findings[0] {
             Finding::FlowSaturation {
@@ -550,47 +319,22 @@ mod tests {
 
     #[test]
     fn stuck_and_never_acked_respect_the_staleness_gate() {
-        let (src, seq) = (id(0), Seq::new(1));
         let mut lines = vec![
-            ev(
-                0,
-                ProtocolEvent::DataSent {
-                    src,
-                    seq,
-                    now_us: 10,
-                },
-            ),
-            ev(
-                1,
-                ProtocolEvent::Accepted {
-                    src,
-                    seq,
-                    from_reorder: false,
-                    now_us: 20,
-                },
-            ),
-            ev(
-                1,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 30,
-                },
-            ),
+            sent(0, 1, 10),
+            accepted(1, 0, 1, 20),
+            pre_acked(1, 0, 1, 30),
         ];
         // Trace ends shortly after: still in flight, no findings.
-        lines.push(ev(0, ProtocolEvent::AckOnlySent { now_us: 50 }));
-        let set = stitch(&lines);
+        lines.push(tick(0, 50));
         let cfg = AnomalyConfig {
             stuck_preack_us: 1_000,
             ..AnomalyConfig::default()
         };
-        assert!(detect(&lines, &set, &cfg).is_empty());
+        assert!(analyze(&lines, &cfg).findings.is_empty());
 
         // Trace ends much later: both rules fire.
-        lines.push(ev(0, ProtocolEvent::AckOnlySent { now_us: 10_000 }));
-        let set = stitch(&lines);
-        let findings = detect(&lines, &set, &cfg);
+        lines.push(tick(0, 10_000));
+        let findings = analyze(&lines, &cfg).findings;
         let kinds: Vec<_> = findings.iter().map(Finding::kind).collect();
         assert!(kinds.contains(&"stuck_at_pre_ack"), "{kinds:?}");
         assert!(kinds.contains(&"never_acknowledged"), "{kinds:?}");

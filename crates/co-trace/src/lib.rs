@@ -7,23 +7,25 @@
 //! This crate stitches the merged per-node JSONL trace back into those
 //! objects:
 //!
-//! * [`stitch`] joins `data_sent` / `accepted` / `pre_acked` /
-//!   `delivered` lines on `(source, seq)` into one [`BroadcastSpan`] per
-//!   PDU, with per-destination [`StageTimes`];
+//! * [`SpanSet::observe`] (folded over a whole trace: [`stitch`]) joins
+//!   `data_sent` / `accepted` / `pre_acked` / `delivered` lines on
+//!   `(source, seq)` into one [`BroadcastSpan`] per PDU, with
+//!   per-destination [`StageTimes`];
 //! * [`SpanSet::breakdown`] folds spans into the receipt-level latency
 //!   [`Breakdown`] (send→accept, accept→pre-ack, pre-ack→deliver,
 //!   send→deliver), per destination or aggregated, using the same
 //!   fixed-bucket [`co_observe::Histogram`]s as the live trackers —
 //!   `send→deliver` over remote destinations is exactly the paper's Tap;
-//! * [`detect`] runs the anomaly rules ([`Finding`]): stuck-at-pre-ack,
-//!   RET storms, F1/F2 loss-burst clusters, flow-condition saturation,
-//!   and never-acknowledged PDUs — each carrying the evidence that
-//!   produced it;
-//! * [`StreamingDetectors`] / [`LiveDetector`] run the same rules
-//!   incrementally with bounded memory — a snapshot after any
-//!   time-sorted prefix equals [`detect`] over that prefix, so drivers
-//!   get always-on anomaly detection without a trace file in the loop;
-//! * [`analyze`] bundles all of the above into a [`SpanReport`] with
+//! * [`StreamingDetectors`] is the anomaly rules ([`Finding`]) as one
+//!   incremental fold: stuck-at-pre-ack, RET storms, F1/F2 loss-burst
+//!   clusters, flow-condition saturation, and never-acknowledged PDUs —
+//!   each carrying the evidence that produced it. Over a merged trace it
+//!   judges all five; [`LiveDetector`] wraps it as an observer of one
+//!   node's own stream, where it judges the four rules defined there and
+//!   keeps state only for PDUs that node still holds, so drivers get
+//!   always-on anomaly detection without a trace file in the loop;
+//! * [`analyze`] runs a whole trace through that fold and bundles spans,
+//!   breakdown and findings into a [`SpanReport`] with
 //!   text and JSON renderings (`co-cli trace analyze`, the
 //!   `co-transport` post-run report, and the `co-check` span oracle all
 //!   consume it).
@@ -40,8 +42,10 @@ mod anomaly;
 mod report;
 mod span;
 mod stream;
+#[cfg(test)]
+mod testkit;
 
-pub use anomaly::{detect, AnomalyConfig, Finding};
+pub use anomaly::{AnomalyConfig, Finding};
 pub use report::{analyze, describe_finding, finding_to_json, SpanReport};
 pub use span::{stitch, Breakdown, BroadcastSpan, DuplicateStage, SpanSet, Stage, StageTimes};
 pub use stream::{LiveDetector, StreamingDetectors};

@@ -2,10 +2,11 @@
 
 use std::fmt::Write as _;
 
-use co_observe::{Histogram, TraceLine};
+use co_observe::{Histogram, Json, TraceLine};
 
-use crate::anomaly::{detect, AnomalyConfig, Finding};
-use crate::span::{stitch, Breakdown, SpanSet};
+use crate::anomaly::{AnomalyConfig, Finding};
+use crate::span::{Breakdown, SpanSet};
+use crate::stream::StreamingDetectors;
 
 /// Everything `analyze` extracts from one merged trace: the stitched
 /// spans, the receipt-level latency breakdown (aggregate and per
@@ -23,21 +24,36 @@ pub struct SpanReport {
     pub per_dest: Vec<Breakdown>,
     /// Host-measured protocol-processing time (the paper's Tco).
     pub tco: Histogram,
-    /// Anomaly findings, in [`detect`]'s deterministic order.
+    /// Anomaly findings, in [`StreamingDetectors::findings`]' order.
     pub findings: Vec<Finding>,
 }
 
-/// Stitches, folds, and scans one merged trace in a single pass over
-/// the reconstructed spans.
+/// Stitches, folds, and scans one merged trace: the lines, oldest first,
+/// through [`StreamingDetectors`]. `lines` may be in any order (per-node
+/// dumps concatenated, say); they are sorted by timestamp first, lines
+/// with equal timestamps keeping their given order.
 pub fn analyze(lines: &[TraceLine], cfg: &AnomalyConfig) -> SpanReport {
-    let spans = stitch(lines);
+    let sorted;
+    let lines = if lines.is_sorted_by_key(TraceLine::t_us) {
+        lines
+    } else {
+        sorted = {
+            let mut copy = lines.to_vec();
+            copy.sort_by_key(TraceLine::t_us);
+            copy
+        };
+        &sorted
+    };
+    let mut fold = StreamingDetectors::new(*cfg);
     let mut tco = Histogram::new();
     for line in lines {
+        fold.observe_line(line);
         if let TraceLine::HostTco { dur_us, .. } = line {
             tco.record(*dur_us);
         }
     }
-    let findings = detect(lines, &spans, cfg);
+    let findings = fold.findings();
+    let spans = fold.into_spans();
     let breakdown = spans.breakdown();
     let per_dest = (0..spans.n)
         .map(|node| spans.breakdown_for(node as u32))
@@ -65,21 +81,88 @@ fn histogram_row(name: &str, h: &Histogram, out: &mut String) {
     );
 }
 
-/// One-line human description of a finding (shared by the text report
-/// and `co-cli trace watch`).
-pub fn describe_finding(finding: &Finding) -> String {
-    describe(finding)
+fn count(v: usize) -> Json {
+    Json::Num(v as u64)
 }
 
 /// One finding as a JSON object (shared by the JSON report and
-/// `co-cli trace watch --json`).
-pub fn finding_to_json(finding: &Finding) -> String {
-    let mut out = String::with_capacity(128);
-    finding_json(finding, &mut out);
-    out
+/// `co-cli trace watch --json`, which prints its compact form).
+pub fn finding_to_json(finding: &Finding) -> Json {
+    let mut fields = vec![("kind", Json::Str(finding.kind().to_string()))];
+    match finding {
+        Finding::StuckAtPreAck {
+            node,
+            src,
+            seq,
+            waited_us,
+            ..
+        } => fields.extend([
+            ("node", Json::Num(u64::from(*node))),
+            ("src", Json::Num(u64::from(*src))),
+            ("seq", Json::Num(*seq)),
+            ("waited_us", Json::Num(*waited_us)),
+        ]),
+        Finding::NeverAcknowledged {
+            src, seq, missing, ..
+        } => fields.extend([
+            ("src", Json::Num(u64::from(*src))),
+            ("seq", Json::Num(*seq)),
+            ("missing", Json::nums(missing.iter().copied())),
+        ]),
+        Finding::RetStorm {
+            src,
+            requests,
+            window_us,
+            from_us,
+            to_us,
+            requesters,
+        } => fields.extend([
+            ("src", Json::Num(u64::from(*src))),
+            ("requests", count(*requests)),
+            ("window_us", Json::Num(*window_us)),
+            ("from_us", Json::Num(*from_us)),
+            ("to_us", Json::Num(*to_us)),
+            ("requesters", Json::nums(requesters.iter().copied())),
+        ]),
+        Finding::LossBurst {
+            detections,
+            f1,
+            f2,
+            from_us,
+            to_us,
+            sources,
+        } => fields.extend([
+            ("detections", count(*detections)),
+            ("f1", count(*f1)),
+            ("f2", count(*f2)),
+            ("from_us", Json::Num(*from_us)),
+            ("to_us", Json::Num(*to_us)),
+            ("sources", Json::nums(sources.iter().copied())),
+        ]),
+        Finding::FlowSaturation {
+            node,
+            blocked,
+            max_outstanding,
+            min_limit,
+            starved,
+            from_us,
+            to_us,
+        } => fields.extend([
+            ("node", Json::Num(u64::from(*node))),
+            ("blocked", count(*blocked)),
+            ("max_outstanding", Json::Num(*max_outstanding)),
+            ("min_limit", Json::Num(*min_limit)),
+            ("starved", Json::Bool(*starved)),
+            ("from_us", Json::Num(*from_us)),
+            ("to_us", Json::Num(*to_us)),
+        ]),
+    }
+    Json::obj(fields)
 }
 
-fn describe(finding: &Finding) -> String {
+/// One-line human description of a finding (shared by the text report
+/// and `co-cli trace watch`).
+pub fn describe_finding(finding: &Finding) -> String {
     match finding {
         Finding::StuckAtPreAck {
             node,
@@ -130,98 +213,20 @@ fn describe(finding: &Finding) -> String {
     }
 }
 
-fn histogram_json(h: &Histogram, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"min_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{},\"mean_us\":{}}}",
-        h.count(),
-        h.min_us(),
-        h.quantile_us(0.5),
-        h.quantile_us(0.9),
-        h.quantile_us(0.99),
-        h.max_us(),
-        h.mean_us(),
-    );
+fn histogram_json(h: &Histogram) -> Json {
+    Json::obj([
+        ("count", Json::Num(h.count())),
+        ("min_us", Json::Num(h.min_us())),
+        ("p50_us", Json::Num(h.quantile_us(0.5))),
+        ("p90_us", Json::Num(h.quantile_us(0.9))),
+        ("p99_us", Json::Num(h.quantile_us(0.99))),
+        ("max_us", Json::Num(h.max_us())),
+        ("mean_us", Json::Num(h.mean_us())),
+    ])
 }
 
-fn breakdown_json(b: &Breakdown, out: &mut String) {
-    out.push('{');
-    for (i, (name, h)) in b.stages().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":");
-        histogram_json(h, out);
-    }
-    out.push('}');
-}
-
-fn finding_json(f: &Finding, out: &mut String) {
-    let _ = write!(out, "{{\"kind\":\"{}\"", f.kind());
-    match f {
-        Finding::StuckAtPreAck {
-            node,
-            src,
-            seq,
-            waited_us,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"node\":{node},\"src\":{src},\"seq\":{seq},\"waited_us\":{waited_us}"
-            );
-        }
-        Finding::NeverAcknowledged {
-            src, seq, missing, ..
-        } => {
-            let _ = write!(out, ",\"src\":{src},\"seq\":{seq},\"missing\":{missing:?}");
-        }
-        Finding::RetStorm {
-            src,
-            requests,
-            window_us,
-            from_us,
-            to_us,
-            requesters,
-        } => {
-            let _ = write!(
-                out,
-                ",\"src\":{src},\"requests\":{requests},\"window_us\":{window_us},\
-                 \"from_us\":{from_us},\"to_us\":{to_us},\"requesters\":{requesters:?}"
-            );
-        }
-        Finding::LossBurst {
-            detections,
-            f1,
-            f2,
-            from_us,
-            to_us,
-            sources,
-        } => {
-            let _ = write!(
-                out,
-                ",\"detections\":{detections},\"f1\":{f1},\"f2\":{f2},\
-                 \"from_us\":{from_us},\"to_us\":{to_us},\"sources\":{sources:?}"
-            );
-        }
-        Finding::FlowSaturation {
-            node,
-            blocked,
-            max_outstanding,
-            min_limit,
-            starved,
-            from_us,
-            to_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"node\":{node},\"blocked\":{blocked},\"max_outstanding\":{max_outstanding},\
-                 \"min_limit\":{min_limit},\"starved\":{starved},\"from_us\":{from_us},\
-                 \"to_us\":{to_us}"
-            );
-        }
-    }
-    out.push('}');
+fn breakdown_json(b: &Breakdown) -> Json {
+    Json::obj(b.stages().map(|(name, h)| (name, histogram_json(h))))
 }
 
 impl SpanReport {
@@ -250,97 +255,46 @@ impl SpanReport {
         } else {
             let _ = writeln!(out, "anomalies: {}", self.findings.len());
             for f in &self.findings {
-                let _ = writeln!(out, "  [{}] {}", f.kind(), describe(f));
+                let _ = writeln!(out, "  [{}] {}", f.kind(), describe_finding(f));
             }
         }
         out
     }
 
-    /// Machine-readable rendering (`co-cli trace analyze --json`); one
-    /// JSON object, hand-rolled like the rest of the workspace's JSON.
+    /// Machine-readable rendering (`co-cli trace analyze --json`): one
+    /// JSON object on one line.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"nodes\":{},\"spans\":{},\"complete_spans\":{},\"duplicates\":{},\"end_us\":{}",
-            self.spans.n,
-            self.spans.spans.len(),
-            self.complete_spans,
-            self.spans.duplicates.len(),
-            self.spans.end_us,
-        );
-        out.push_str(",\"breakdown\":");
-        breakdown_json(&self.breakdown, &mut out);
-        out.push_str(",\"per_dest\":[");
-        for (i, b) in self.per_dest.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            breakdown_json(b, &mut out);
-        }
-        out.push_str("],\"tco\":");
-        histogram_json(&self.tco, &mut out);
-        let _ = write!(out, ",\"anomalies\":{},\"findings\":[", self.findings.len());
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            finding_json(f, &mut out);
-        }
-        out.push_str("]}");
-        out
+        Json::obj([
+            ("nodes", count(self.spans.n)),
+            ("spans", count(self.spans.spans.len())),
+            ("complete_spans", count(self.complete_spans)),
+            ("duplicates", count(self.spans.duplicates.len())),
+            ("end_us", Json::Num(self.spans.end_us)),
+            ("breakdown", breakdown_json(&self.breakdown)),
+            (
+                "per_dest",
+                Json::Arr(self.per_dest.iter().map(breakdown_json).collect()),
+            ),
+            ("tco", histogram_json(&self.tco)),
+            ("anomalies", count(self.findings.len())),
+            (
+                "findings",
+                Json::Arr(self.findings.iter().map(finding_to_json).collect()),
+            ),
+        ])
+        .to_compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_order::{EntityId, Seq};
+    use crate::testkit::{complete_broadcast, ev, id};
+    use causal_order::Seq;
     use co_observe::ProtocolEvent;
 
-    fn ev(node: u32, event: ProtocolEvent) -> TraceLine {
-        TraceLine::Event { node, event }
-    }
-
     fn clean_trace() -> Vec<TraceLine> {
-        let (src, seq) = (EntityId::new(0), Seq::new(1));
-        let mut lines = vec![ev(
-            0,
-            ProtocolEvent::DataSent {
-                src,
-                seq,
-                now_us: 10,
-            },
-        )];
-        for node in 0..2u32 {
-            if node != 0 {
-                lines.push(ev(
-                    node,
-                    ProtocolEvent::Accepted {
-                        src,
-                        seq,
-                        from_reorder: false,
-                        now_us: 20,
-                    },
-                ));
-            }
-            lines.push(ev(
-                node,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 30,
-                },
-            ));
-            lines.push(ev(
-                node,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 40,
-                },
-            ));
-        }
+        let mut lines = complete_broadcast(2, 0, 1, 10);
         lines.push(TraceLine::HostTco {
             node: 1,
             at_us: 41,
@@ -377,7 +331,7 @@ mod tests {
         lines.push(ev(
             1,
             ProtocolEvent::RetSent {
-                src: EntityId::new(0),
+                src: id(0),
                 lseq: Seq::new(5),
                 now_us: 45,
             },

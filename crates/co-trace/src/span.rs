@@ -1,4 +1,4 @@
-//! Span model and the trace stitcher.
+//! Span model and the trace stitcher ([`SpanSet::observe`]).
 
 use std::collections::BTreeMap;
 
@@ -83,34 +83,51 @@ pub struct BroadcastSpan {
     pub seq: u64,
     /// Send time at the origin (`data_sent`), shared-epoch µs.
     pub sent_us: Option<u64>,
-    /// Per-destination stage times, indexed by node; includes the origin
-    /// (whose acceptance coincides with the send).
-    pub stages: Vec<StageTimes>,
+    /// `(node, stage times)` of every destination that recorded a stage,
+    /// ascending by node; includes the origin (whose acceptance coincides
+    /// with the send). Sparse, so a span costs what was observed of it —
+    /// one entry on a single node's stream, `n` on a merged trace.
+    pub stages: Vec<(u32, StageTimes)>,
 }
 
 impl BroadcastSpan {
+    /// The stage times recorded at `node`, if it recorded any.
+    pub fn at(&self, node: u32) -> Option<&StageTimes> {
+        let i = self
+            .stages
+            .binary_search_by_key(&node, |&(at, _)| at)
+            .ok()?;
+        Some(&self.stages[i].1)
+    }
+
+    fn at_mut(&mut self, node: u32) -> &mut StageTimes {
+        let i = match self.stages.binary_search_by_key(&node, |&(at, _)| at) {
+            Ok(i) => i,
+            Err(i) => {
+                self.stages.insert(i, (node, StageTimes::default()));
+                i
+            }
+        };
+        &mut self.stages[i].1
+    }
+
     /// The span is complete: the send was recorded and every one of the
     /// `n` destinations accepted, pre-acked, and delivered.
     pub fn complete(&self, n: usize) -> bool {
         self.sent_us.is_some()
-            && self.stages.len() >= n
-            && self.stages[..n].iter().all(StageTimes::complete)
+            && (0..n as u32).all(|i| self.at(i).is_some_and(StageTimes::complete))
     }
 
     /// Nodes (indices) that never delivered this PDU.
     pub fn missing_deliveries(&self, n: usize) -> Vec<u32> {
         (0..n as u32)
-            .filter(|&i| {
-                self.stages
-                    .get(i as usize)
-                    .is_none_or(|s| s.deliver_us.is_none())
-            })
+            .filter(|&i| self.at(i).is_none_or(|s| s.deliver_us.is_none()))
             .collect()
     }
 
     /// Delivered at one or more nodes.
     pub fn delivered_anywhere(&self) -> bool {
-        self.stages.iter().any(|s| s.deliver_us.is_some())
+        self.stages.iter().any(|(_, s)| s.deliver_us.is_some())
     }
 }
 
@@ -167,8 +184,8 @@ impl Breakdown {
         self.send_to_deliver.merge(&other.send_to_deliver);
     }
 
-    fn record_dest(&mut self, sent_us: Option<u64>, dest: usize, src: u32, s: &StageTimes) {
-        let remote = dest as u32 != src;
+    fn record_dest(&mut self, sent_us: Option<u64>, dest: u32, src: u32, s: &StageTimes) {
+        let remote = dest != src;
         if let (Some(sent), Some(accept), true) = (sent_us, s.accept_us, remote) {
             self.send_to_accept.record(accept.saturating_sub(sent));
         }
@@ -185,10 +202,11 @@ impl Breakdown {
     }
 }
 
-/// All spans reconstructed from one merged trace.
+/// All spans reconstructed from one trace, built line by line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanSet {
-    /// Number of nodes inferred from the trace (highest index + 1).
+    /// Number of nodes inferred from the trace (highest node or source
+    /// index + 1).
     pub n: usize,
     /// Spans keyed by `(source, seq)`, iteration-ordered.
     pub spans: BTreeMap<(u32, u64), BroadcastSpan>,
@@ -208,8 +226,8 @@ impl SpanSet {
     pub fn breakdown(&self) -> Breakdown {
         let mut b = Breakdown::default();
         for span in self.spans.values() {
-            for (dest, stage) in span.stages.iter().enumerate() {
-                b.record_dest(span.sent_us, dest, span.src, stage);
+            for (dest, stage) in &span.stages {
+                b.record_dest(span.sent_us, *dest, span.src, stage);
             }
         }
         b
@@ -219,156 +237,105 @@ impl SpanSet {
     pub fn breakdown_for(&self, node: u32) -> Breakdown {
         let mut b = Breakdown::default();
         for span in self.spans.values() {
-            if let Some(stage) = span.stages.get(node as usize) {
-                b.record_dest(span.sent_us, node as usize, span.src, stage);
+            if let Some(stage) = span.at(node) {
+                b.record_dest(span.sent_us, node, span.src, stage);
             }
         }
         b
     }
-}
 
-pub(crate) fn set_stage(
-    set: &mut SpanSet,
-    node: u32,
-    src: u32,
-    seq: u64,
-    stage: Stage,
-    at_us: u64,
-    from_reorder: bool,
-) {
-    let span = set
-        .spans
-        .entry((src, seq))
-        .or_insert_with(|| BroadcastSpan {
+    /// Folds one trace line in — the one place stage events become
+    /// [`Stage`]s. Lines may come in any order; of a stage recorded twice
+    /// the first line wins and the repeat lands in
+    /// [`SpanSet::duplicates`]. Returns the span and stage the line
+    /// recorded, if it was a stage event.
+    pub fn observe(&mut self, line: &TraceLine) -> Option<((u32, u64), Stage)> {
+        let (node, event) = match *line {
+            TraceLine::HostTco { node, .. } => (node, None),
+            TraceLine::Event { node, event } => (node, Some(event)),
+        };
+        let at_us = line.t_us();
+        self.n = self.n.max(node as usize + 1);
+        self.end_us = self.end_us.max(at_us);
+        let (src, seq, stage, from_reorder) = match event? {
+            ProtocolEvent::DataSent { src, seq, .. } => (src, seq, Stage::Send, false),
+            ProtocolEvent::Accepted {
+                src,
+                seq,
+                from_reorder,
+                ..
+            } => (src, seq, Stage::Accept, from_reorder),
+            ProtocolEvent::PreAcked { src, seq, .. } => (src, seq, Stage::PreAck, false),
+            ProtocolEvent::Delivered { src, seq, .. } => (src, seq, Stage::Deliver, false),
+            _ => return None,
+        };
+        let (src, seq) = (src.index() as u32, seq.get());
+        self.n = self.n.max(src as usize + 1);
+        self.set_stage(node, src, seq, stage, at_us, from_reorder);
+        Some(((src, seq), stage))
+    }
+
+    fn set_stage(
+        &mut self,
+        node: u32,
+        src: u32,
+        seq: u64,
+        stage: Stage,
+        at_us: u64,
+        from_reorder: bool,
+    ) {
+        let span = self
+            .spans
+            .entry((src, seq))
+            .or_insert_with(|| BroadcastSpan {
+                src,
+                seq,
+                sent_us: None,
+                // One entry is all a single node's stream ever adds.
+                stages: Vec::with_capacity(1),
+            });
+        let duplicate = DuplicateStage {
+            node,
             src,
             seq,
-            sent_us: None,
-            stages: Vec::new(),
-        });
-    if stage == Stage::Send {
-        if span.sent_us.is_some() {
-            set.duplicates.push(DuplicateStage {
-                node,
-                src,
-                seq,
-                stage,
-            });
+            stage,
+        };
+        if stage == Stage::Send {
+            if span.sent_us.is_some() {
+                self.duplicates.push(duplicate);
+            } else {
+                span.sent_us = Some(at_us);
+            }
+            // The send is also the origin's acceptance; fall through so the
+            // origin's StageTimes carries it too.
+        }
+        let times = span.at_mut(node);
+        let slot = match stage {
+            Stage::Send | Stage::Accept => &mut times.accept_us,
+            Stage::PreAck => &mut times.pre_ack_us,
+            Stage::Deliver => &mut times.deliver_us,
+        };
+        if slot.is_some() {
+            if stage != Stage::Send {
+                // A duplicate send was already recorded above.
+                self.duplicates.push(duplicate);
+            }
         } else {
-            span.sent_us = Some(at_us);
-        }
-        // The send is also the origin's acceptance; fall through so the
-        // origin's StageTimes carries it too.
-    }
-    if span.stages.len() <= node as usize {
-        span.stages.resize(node as usize + 1, StageTimes::default());
-    }
-    let times = &mut span.stages[node as usize];
-    let slot = match stage {
-        Stage::Send | Stage::Accept => &mut times.accept_us,
-        Stage::PreAck => &mut times.pre_ack_us,
-        Stage::Deliver => &mut times.deliver_us,
-    };
-    if slot.is_some() {
-        if stage != Stage::Send {
-            // A duplicate send was already recorded above.
-            set.duplicates.push(DuplicateStage {
-                node,
-                src,
-                seq,
-                stage,
-            });
-        }
-    } else {
-        *slot = Some(at_us);
-        if stage == Stage::Accept {
-            times.from_reorder = from_reorder;
+            *slot = Some(at_us);
+            if stage == Stage::Accept {
+                times.from_reorder = from_reorder;
+            }
         }
     }
 }
 
 /// Reconstructs every broadcast's lifecycle span from a merged,
 /// shared-epoch trace (any line order; the stitcher does not require
-/// time sorting). The node count is inferred from the highest node or
-/// source index seen.
+/// time sorting): [`SpanSet::observe`] folded over `lines`.
 pub fn stitch(lines: &[TraceLine]) -> SpanSet {
     let mut set = SpanSet::default();
-    let mut max_index: Option<u32> = None;
-    let bump = |i: u32, max_index: &mut Option<u32>| {
-        *max_index = Some(max_index.map_or(i, |m| m.max(i)));
-    };
     for line in lines {
-        match *line {
-            TraceLine::HostTco { node, at_us, .. } => {
-                bump(node, &mut max_index);
-                set.end_us = set.end_us.max(at_us);
-            }
-            TraceLine::Event { node, event } => {
-                bump(node, &mut max_index);
-                set.end_us = set.end_us.max(event.now_us());
-                match event {
-                    ProtocolEvent::DataSent { src, seq, now_us } => {
-                        bump(src.index() as u32, &mut max_index);
-                        set_stage(
-                            &mut set,
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::Send,
-                            now_us,
-                            false,
-                        );
-                    }
-                    ProtocolEvent::Accepted {
-                        src,
-                        seq,
-                        from_reorder,
-                        now_us,
-                    } => {
-                        bump(src.index() as u32, &mut max_index);
-                        set_stage(
-                            &mut set,
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::Accept,
-                            now_us,
-                            from_reorder,
-                        );
-                    }
-                    ProtocolEvent::PreAcked { src, seq, now_us } => {
-                        bump(src.index() as u32, &mut max_index);
-                        set_stage(
-                            &mut set,
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::PreAck,
-                            now_us,
-                            false,
-                        );
-                    }
-                    ProtocolEvent::Delivered { src, seq, now_us } => {
-                        bump(src.index() as u32, &mut max_index);
-                        set_stage(
-                            &mut set,
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::Deliver,
-                            now_us,
-                            false,
-                        );
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    set.n = max_index.map_or(0, |m| m as usize + 1);
-    for span in set.spans.values_mut() {
-        if span.stages.len() < set.n {
-            span.stages.resize(set.n, StageTimes::default());
-        }
+        set.observe(line);
     }
     set
 }
@@ -376,55 +343,18 @@ pub fn stitch(lines: &[TraceLine]) -> SpanSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_order::{EntityId, Seq};
-
-    fn ev(node: u32, event: ProtocolEvent) -> TraceLine {
-        TraceLine::Event { node, event }
-    }
-
-    fn id(i: u32) -> EntityId {
-        EntityId::new(i)
-    }
+    use crate::testkit::{accepted, delivered, ev, id, pre_acked, sent};
+    use causal_order::Seq;
 
     /// One broadcast from node 0, fully received by nodes 0..3.
     fn full_span_trace() -> Vec<TraceLine> {
-        let (src, seq) = (id(0), Seq::new(1));
-        let mut lines = vec![ev(
-            0,
-            ProtocolEvent::DataSent {
-                src,
-                seq,
-                now_us: 100,
-            },
-        )];
+        let mut lines = vec![sent(0, 1, 100)];
         for node in 1..3u32 {
-            lines.push(ev(
-                node,
-                ProtocolEvent::Accepted {
-                    src,
-                    seq,
-                    from_reorder: false,
-                    now_us: 150 + u64::from(node),
-                },
-            ));
+            lines.push(accepted(node, 0, 1, 150 + u64::from(node)));
         }
         for node in 0..3u32 {
-            lines.push(ev(
-                node,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 300 + u64::from(node),
-                },
-            ));
-            lines.push(ev(
-                node,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 400 + u64::from(node),
-                },
-            ));
+            lines.push(pre_acked(node, 0, 1, 300 + u64::from(node)));
+            lines.push(delivered(node, 0, 1, 400 + u64::from(node)));
         }
         lines
     }
@@ -439,10 +369,17 @@ mod tests {
         let span = &set.spans[&(0, 1)];
         assert_eq!(span.sent_us, Some(100));
         assert!(span.complete(3));
-        assert_eq!(span.stages[0].accept_us, Some(100), "origin self-accepts");
-        assert_eq!(span.stages[2].accept_us, Some(152));
+        assert_eq!(
+            span.at(0).unwrap().accept_us,
+            Some(100),
+            "origin self-accepts"
+        );
+        assert_eq!(span.at(2).unwrap().accept_us, Some(152));
         assert_eq!(span.missing_deliveries(3), Vec::<u32>::new());
-        assert!(span.stages.iter().all(|s| s.order_violation().is_none()));
+        assert!(span
+            .stages
+            .iter()
+            .all(|(_, s)| s.order_violation().is_none()));
         assert_eq!(set.end_us, 402);
     }
 
@@ -469,34 +406,19 @@ mod tests {
 
     #[test]
     fn incomplete_and_unordered_spans_are_visible() {
-        let (src, seq) = (id(1), Seq::new(4));
         let lines = vec![
-            ev(
-                1,
-                ProtocolEvent::DataSent {
-                    src,
-                    seq,
-                    now_us: 10,
-                },
-            ),
+            sent(1, 4, 10),
             ev(
                 0,
                 ProtocolEvent::Accepted {
-                    src,
-                    seq,
+                    src: id(1),
+                    seq: Seq::new(4),
                     from_reorder: true,
                     now_us: 20,
                 },
             ),
             // Pre-ack before accept: order violation at node 0.
-            ev(
-                0,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 15,
-                },
-            ),
+            pre_acked(0, 1, 4, 15),
         ];
         let set = stitch(&lines);
         assert_eq!(set.n, 2);
@@ -504,47 +426,21 @@ mod tests {
         assert!(!span.complete(2));
         assert_eq!(span.missing_deliveries(2), vec![0, 1]);
         assert_eq!(
-            span.stages[0].order_violation(),
+            span.at(0).unwrap().order_violation(),
             Some((Stage::Accept, Stage::PreAck))
         );
-        assert!(span.stages[0].from_reorder);
+        assert!(span.at(0).unwrap().from_reorder);
     }
 
     #[test]
     fn duplicate_stages_are_reported_not_overwritten() {
-        let (src, seq) = (id(0), Seq::new(2));
-        let lines = vec![
-            ev(
-                0,
-                ProtocolEvent::DataSent {
-                    src,
-                    seq,
-                    now_us: 5,
-                },
-            ),
-            ev(
-                1,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 9,
-                },
-            ),
-            ev(
-                1,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 11,
-                },
-            ),
-        ];
+        let lines = vec![sent(0, 2, 5), delivered(1, 0, 2, 9), delivered(1, 0, 2, 11)];
         let set = stitch(&lines);
         assert_eq!(set.duplicates.len(), 1);
         assert_eq!(set.duplicates[0].stage, Stage::Deliver);
         assert_eq!(set.duplicates[0].node, 1);
         // First timestamp wins.
-        assert_eq!(set.spans[&(0, 2)].stages[1].deliver_us, Some(9));
+        assert_eq!(set.spans[&(0, 2)].at(1).unwrap().deliver_us, Some(9));
     }
 
     #[test]

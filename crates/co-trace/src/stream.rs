@@ -1,15 +1,14 @@
-//! Incremental, bounded-memory versions of the [`crate::detect`]
-//! anomaly rules.
+//! The anomaly rules, as one incremental fold over trace lines.
 //!
 //! [`StreamingDetectors`] consumes trace lines one at a time and can be
 //! asked for its [`findings`](StreamingDetectors::findings) at any
-//! point. Fed a time-nondecreasing stream (a merged trace is time
-//! sorted; a single node's live stream is monotonic by construction),
-//! the snapshot equals `detect(lines_so_far, stitch(lines_so_far), cfg)`
-//! finding for finding — the equivalence argument is spelled out in
-//! DESIGN.md and enforced over hundreds of random schedules by
-//! `co-check`'s `streaming_equivalence` test. The per-rule state is
-//! bounded:
+//! point. It expects a time-nondecreasing stream — a merged trace is time
+//! sorted, a single node's live stream is monotonic by construction, and
+//! [`crate::analyze`] sorts whatever it is given first. How lines with
+//! equal timestamps are ordered does not change a finding.
+//!
+//! What a detector keeps follows from the **scope** of the stream it is
+//! built for (DESIGN.md, "Cross-node spans", tabulates rule × scope):
 //!
 //! * RET storm — one sliding window of requests per source, pruned to
 //!   the configured width, plus the best window seen so far. The best
@@ -21,23 +20,21 @@
 //!   findings; cluster boundaries depend only on timestamps.
 //! * Flow saturation — one gauge aggregate per node (fully
 //!   order-independent).
-//! * Span rules — an incrementally stitched [`SpanSet`]. Span state is
-//!   the one component that grows with trace length; callers that know
-//!   the cluster size can opt into
-//!   [`with_cluster_size`](StreamingDetectors::with_cluster_size),
-//!   which retires a span once it is complete at every node (a complete
-//!   span can never fire a rule again, and the engine's at-most-once
-//!   stage transitions mean it will not be resurrected).
-//!
-//! [`LiveDetector`] wraps the streaming rules behind
-//! [`co_observe::Observer`] for always-on, in-process use by drivers.
+//! * Span rules — a [`SpanSet`] stitched as the lines arrive. On a merged
+//!   trace ([`StreamingDetectors::new`]) it holds every span, which is
+//!   the set [`crate::analyze`] reports anyway. On one node's stream
+//!   ([`LiveDetector`]) a span is dropped at the node's own `delivered`
+//!   — the last thing that node will ever say about the PDU — so the
+//!   set holds exactly the PDUs the entity itself still holds (the
+//!   paper's ≈ 2nW), and never-acknowledged, which asks about *other*
+//!   nodes' deliveries, is not judged.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use co_observe::{Observer, ProtocolEvent, TraceLine};
 
 use crate::anomaly::{AnomalyConfig, Finding};
-use crate::span::{set_stage, SpanSet, Stage, StageTimes};
+use crate::span::{BroadcastSpan, SpanSet, Stage};
 
 /// The densest request window seen so far for one source.
 #[derive(Debug, Clone)]
@@ -79,8 +76,7 @@ impl LossCluster {
     }
 }
 
-/// Streaming flow-condition aggregate for one node (mirrors the offline
-/// gauge fold exactly; the aggregation is order-independent).
+/// Flow-condition aggregate for one node (order-independent).
 #[derive(Debug, Clone)]
 struct FlowState {
     blocked: usize,
@@ -90,84 +86,47 @@ struct FlowState {
     to_us: u64,
 }
 
-/// Seqs of one source whose spans were retired; compacted into a
-/// watermark so memory stays proportional to completion skew, not trace
-/// length.
-#[derive(Debug, Clone, Default)]
-struct PruneState {
-    /// Every seq `<= watermark` is retired.
-    watermark: u64,
-    /// Retired seqs above the watermark (completion happened out of
-    /// order).
-    above: BTreeSet<u64>,
+/// Which stream a detector is fed; decides what the span rules keep and
+/// judge (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// Every node's lines, merged.
+    Merged,
+    /// One node's own event stream.
+    Node,
 }
 
-impl PruneState {
-    fn insert(&mut self, seq: u64) {
-        self.above.insert(seq);
-        while self.above.remove(&(self.watermark + 1)) {
-            self.watermark += 1;
-        }
-    }
-
-    fn contains(&self, seq: u64) -> bool {
-        seq != 0 && (seq <= self.watermark || self.above.contains(&seq))
-    }
-}
-
-/// Incremental counterparts of every [`crate::detect`] rule, with
-/// bounded per-rule state. See the module docs for the equivalence
-/// contract.
+/// The anomaly rules as an incremental fold: built by
+/// [`StreamingDetectors::new`] for a merged trace, or held by a
+/// [`LiveDetector`] for one node's stream. See the module docs for the
+/// input contract and the state each rule keeps.
 #[derive(Debug, Clone)]
 pub struct StreamingDetectors {
     cfg: AnomalyConfig,
-    /// When set, spans complete at all `n` nodes are retired eagerly.
-    cluster_n: Option<usize>,
+    scope: Scope,
     ret: BTreeMap<u32, RetState>,
     loss_closed: Vec<Finding>,
     loss_open: Option<LossCluster>,
     flow: BTreeMap<u32, FlowState>,
-    /// Incrementally stitched spans (`set.n` is computed lazily from
-    /// `max_index` at snapshot time, like the offline stitcher).
     set: SpanSet,
-    max_index: Option<u32>,
-    pruned: BTreeMap<u32, PruneState>,
-    pruned_spans: u64,
-}
-
-impl Default for StreamingDetectors {
-    fn default() -> Self {
-        StreamingDetectors::new(AnomalyConfig::default())
-    }
 }
 
 impl StreamingDetectors {
-    /// Streaming detectors with no span retirement: exact for arbitrary
-    /// node indices, but span state grows with the number of distinct
-    /// broadcasts.
+    /// Detectors for a merged trace: all five rules, every span kept.
     pub fn new(cfg: AnomalyConfig) -> StreamingDetectors {
+        StreamingDetectors::scoped(cfg, Scope::Merged)
+    }
+
+    fn scoped(cfg: AnomalyConfig, scope: Scope) -> StreamingDetectors {
         StreamingDetectors {
             cfg,
-            cluster_n: None,
+            scope,
             ret: BTreeMap::new(),
             loss_closed: Vec::new(),
             loss_open: None,
             flow: BTreeMap::new(),
             set: SpanSet::default(),
-            max_index: None,
-            pruned: BTreeMap::new(),
-            pruned_spans: 0,
         }
-    }
-
-    /// Declares the cluster size so spans complete at all `n` nodes can
-    /// be retired (bounded memory). Exact as long as every node and
-    /// source index in the stream is `< n` — which the drivers
-    /// guarantee.
-    #[must_use]
-    pub fn with_cluster_size(mut self, n: usize) -> StreamingDetectors {
-        self.cluster_n = Some(n);
-        self
     }
 
     /// The thresholds in force.
@@ -175,30 +134,15 @@ impl StreamingDetectors {
         &self.cfg
     }
 
-    /// Last timestamp seen, µs ("now" for the staleness rules).
-    pub fn end_us(&self) -> u64 {
-        self.set.end_us
+    /// The spans currently held: all of them on a merged trace, the PDUs
+    /// not yet delivered locally on a node's stream.
+    pub fn spans(&self) -> &SpanSet {
+        &self.set
     }
 
-    /// Spans currently held (after any retirement).
-    pub fn open_spans(&self) -> usize {
-        self.set.spans.len()
-    }
-
-    /// Spans retired as complete under
-    /// [`with_cluster_size`](StreamingDetectors::with_cluster_size).
-    pub fn pruned_spans(&self) -> u64 {
-        self.pruned_spans
-    }
-
-    fn bump(&mut self, index: u32) {
-        self.max_index = Some(self.max_index.map_or(index, |m| m.max(index)));
-    }
-
-    /// Node count inferred so far, exactly as the offline stitcher
-    /// infers it.
-    pub fn inferred_n(&self) -> usize {
-        self.max_index.map_or(0, |m| m as usize + 1)
+    /// Gives up the stitched spans (what [`crate::analyze`] reports).
+    pub fn into_spans(self) -> SpanSet {
+        self.set
     }
 
     /// Feeds one protocol event observed at `node`.
@@ -207,81 +151,35 @@ impl StreamingDetectors {
     }
 
     /// Feeds one trace line. Lines must arrive with nondecreasing
-    /// timestamps for the snapshot equivalence to hold.
+    /// timestamps.
     pub fn observe_line(&mut self, line: &TraceLine) {
-        match *line {
-            TraceLine::HostTco { node, at_us, .. } => {
-                self.bump(node);
-                self.set.end_us = self.set.end_us.max(at_us);
+        let staged = self.set.observe(line);
+        if let (Scope::Node, Some((pdu, Stage::Deliver))) = (self.scope, staged) {
+            // Delivered here: this node has nothing more to say about the
+            // PDU, and no rule judged on its stream can fire for it again.
+            self.set.spans.remove(&pdu);
+        }
+        let TraceLine::Event { node, event } = *line else {
+            return;
+        };
+        match event {
+            ProtocolEvent::RetSent { src, now_us, .. } => {
+                self.observe_ret(src.index() as u32, node, now_us);
             }
-            TraceLine::Event { node, event } => {
-                self.bump(node);
-                self.set.end_us = self.set.end_us.max(event.now_us());
-                match event {
-                    ProtocolEvent::RetSent { src, now_us, .. } => {
-                        self.observe_ret(src.index() as u32, node, now_us);
-                    }
-                    ProtocolEvent::F1Detected { src, now_us, .. } => {
-                        self.observe_loss(src.index() as u32, false, now_us);
-                    }
-                    ProtocolEvent::F2Detected { src, now_us, .. } => {
-                        self.observe_loss(src.index() as u32, true, now_us);
-                    }
-                    ProtocolEvent::FlowBlocked {
-                        outstanding,
-                        limit,
-                        now_us,
-                    } => {
-                        self.observe_flow(node, outstanding, limit, now_us);
-                    }
-                    ProtocolEvent::DataSent { src, seq, now_us } => {
-                        self.observe_stage(
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::Send,
-                            now_us,
-                            false,
-                        );
-                    }
-                    ProtocolEvent::Accepted {
-                        src,
-                        seq,
-                        from_reorder,
-                        now_us,
-                    } => {
-                        self.observe_stage(
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::Accept,
-                            now_us,
-                            from_reorder,
-                        );
-                    }
-                    ProtocolEvent::PreAcked { src, seq, now_us } => {
-                        self.observe_stage(
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::PreAck,
-                            now_us,
-                            false,
-                        );
-                    }
-                    ProtocolEvent::Delivered { src, seq, now_us } => {
-                        self.observe_stage(
-                            node,
-                            src.index() as u32,
-                            seq.get(),
-                            Stage::Deliver,
-                            now_us,
-                            false,
-                        );
-                    }
-                    _ => {}
-                }
+            ProtocolEvent::F1Detected { src, now_us, .. } => {
+                self.observe_loss(src.index() as u32, false, now_us);
             }
+            ProtocolEvent::F2Detected { src, now_us, .. } => {
+                self.observe_loss(src.index() as u32, true, now_us);
+            }
+            ProtocolEvent::FlowBlocked {
+                outstanding,
+                limit,
+                now_us,
+            } => {
+                self.observe_flow(node, outstanding, limit, now_us);
+            }
+            _ => {}
         }
     }
 
@@ -297,8 +195,8 @@ impl StreamingDetectors {
             }
         }
         let count = st.window.len();
-        // Strictly-greater-wins, like the offline scan: the earliest
-        // window to reach the final maximum is the one reported.
+        // Strictly greater wins: the earliest window to reach the final
+        // maximum is the one reported.
         if st.best.as_ref().is_none_or(|b| count > b.count) {
             let mut requesters: Vec<u32> = st.window.iter().map(|&(_, n)| n).collect();
             requesters.sort_unstable();
@@ -352,132 +250,136 @@ impl StreamingDetectors {
         g.to_us = g.to_us.max(now_us);
     }
 
-    fn observe_stage(
-        &mut self,
-        node: u32,
-        src: u32,
-        seq: u64,
-        stage: Stage,
-        at_us: u64,
-        from_reorder: bool,
-    ) {
-        self.bump(src);
-        if self.pruned.get(&src).is_some_and(|p| p.contains(seq)) {
-            // A stage event for a retired span can only be a duplicate
-            // (the engine's transitions are at-most-once); re-stitching
-            // it would resurrect the span with partial state.
-            return;
-        }
-        set_stage(&mut self.set, node, src, seq, stage, at_us, from_reorder);
-        if let Some(n) = self.cluster_n {
-            if self
-                .set
-                .spans
-                .get(&(src, seq))
-                .is_some_and(|span| span.complete(n))
-            {
-                self.set.spans.remove(&(src, seq));
-                self.pruned.entry(src).or_default().insert(seq);
-                self.pruned_spans += 1;
-            }
-        }
+    /// RET storms that reached the threshold, source ascending.
+    fn ret_storms(&self) -> impl Iterator<Item = (u32, &BestWindow)> {
+        let min = self.cfg.ret_storm_requests;
+        self.ret.iter().filter_map(move |(src, st)| {
+            let best = st.best.as_ref().filter(|b| b.count >= min)?;
+            Some((*src, best))
+        })
     }
 
-    /// Snapshot of every rule's current findings, in the offline
-    /// [`crate::detect`] order: RET storms (source ascending), loss
-    /// bursts (time order), flow saturation (node ascending), then the
-    /// span rules in `(src, seq)` order.
+    /// The open loss cluster, once it is large enough to report.
+    fn open_burst(&self) -> Option<&LossCluster> {
+        let min = self.cfg.loss_cluster_min;
+        self.loss_open.as_ref().filter(|o| o.detections >= min)
+    }
+
+    /// Nodes whose blocked submits reached the threshold, ascending.
+    fn saturated(&self) -> impl Iterator<Item = (u32, &FlowState)> {
+        let min = self.cfg.flow_blocked_min;
+        self.flow
+            .iter()
+            .filter(move |(_, g)| g.blocked >= min)
+            .map(|(node, g)| (*node, g))
+    }
+
+    /// `(node, waited_us)` wherever `span` is pre-acked, undelivered and
+    /// stale.
+    fn stuck<'a>(&'a self, span: &'a BroadcastSpan) -> impl Iterator<Item = (u32, u64)> + 'a {
+        span.stages.iter().filter_map(move |&(node, stage)| {
+            let (Some(preack), None) = (stage.pre_ack_us, stage.deliver_us) else {
+                return None;
+            };
+            let waited_us = self.set.end_us.saturating_sub(preack);
+            (waited_us > self.cfg.stuck_preack_us).then_some((node, waited_us))
+        })
+    }
+
+    /// The destinations that never delivered `span`, if it is stale and
+    /// there are any. Only a merged trace can say.
+    fn unacknowledged(&self, span: &BroadcastSpan) -> Option<Vec<u32>> {
+        if self.scope != Scope::Merged
+            || self.set.end_us.saturating_sub(span.sent_us?) <= self.cfg.stuck_preack_us
+        {
+            return None;
+        }
+        Some(span.missing_deliveries(self.set.n)).filter(|missing| !missing.is_empty())
+    }
+
+    /// Snapshot of every rule's current findings, in report order: RET
+    /// storms (source ascending), loss bursts (time order), flow
+    /// saturation (node ascending), then the span rules in `(src, seq)`
+    /// order.
     pub fn findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        for (src, st) in &self.ret {
-            if let Some(best) = &st.best {
-                if best.count >= self.cfg.ret_storm_requests {
-                    out.push(Finding::RetStorm {
-                        src: *src,
-                        requests: best.count,
-                        window_us: self.cfg.ret_storm_window_us,
-                        from_us: best.from_us,
-                        to_us: best.to_us,
-                        requesters: best.requesters.clone(),
-                    });
-                }
-            }
+        for (src, best) in self.ret_storms() {
+            out.push(Finding::RetStorm {
+                src,
+                requests: best.count,
+                window_us: self.cfg.ret_storm_window_us,
+                from_us: best.from_us,
+                to_us: best.to_us,
+                requesters: best.requesters.clone(),
+            });
         }
         out.extend(self.loss_closed.iter().cloned());
-        if let Some(open) = &self.loss_open {
-            if open.detections >= self.cfg.loss_cluster_min {
-                out.push(open.finding());
-            }
+        out.extend(self.open_burst().map(LossCluster::finding));
+        for (node, g) in self.saturated() {
+            out.push(Finding::FlowSaturation {
+                node,
+                blocked: g.blocked,
+                max_outstanding: g.max_outstanding,
+                min_limit: g.min_limit,
+                starved: g.min_limit == 0,
+                from_us: g.from_us,
+                to_us: g.to_us,
+            });
         }
-        for (node, g) in &self.flow {
-            if g.blocked >= self.cfg.flow_blocked_min {
-                out.push(Finding::FlowSaturation {
-                    node: *node,
-                    blocked: g.blocked,
-                    max_outstanding: g.max_outstanding,
-                    min_limit: g.min_limit,
-                    starved: g.min_limit == 0,
-                    from_us: g.from_us,
-                    to_us: g.to_us,
+        for span in self.set.spans.values() {
+            for (node, waited_us) in self.stuck(span) {
+                out.push(Finding::StuckAtPreAck {
+                    node,
+                    src: span.src,
+                    seq: span.seq,
+                    waited_us,
+                    span: span.clone(),
                 });
             }
-        }
-        let n = self.inferred_n();
-        let end_us = self.set.end_us;
-        for span in self.set.spans.values() {
-            let mut span = span.clone();
-            if span.stages.len() < n {
-                span.stages.resize(n, StageTimes::default());
-            }
-            for (node, stage) in span.stages.iter().enumerate() {
-                if let (Some(preack), None) = (stage.pre_ack_us, stage.deliver_us) {
-                    let waited_us = end_us.saturating_sub(preack);
-                    if waited_us > self.cfg.stuck_preack_us {
-                        out.push(Finding::StuckAtPreAck {
-                            node: node as u32,
-                            src: span.src,
-                            seq: span.seq,
-                            waited_us,
-                            span: span.clone(),
-                        });
-                    }
-                }
-            }
-            if let Some(sent) = span.sent_us {
-                let missing = span.missing_deliveries(n);
-                if !missing.is_empty() && end_us.saturating_sub(sent) > self.cfg.stuck_preack_us {
-                    out.push(Finding::NeverAcknowledged {
-                        src: span.src,
-                        seq: span.seq,
-                        missing,
-                        span: span.clone(),
-                    });
-                }
+            if let Some(missing) = self.unacknowledged(span) {
+                out.push(Finding::NeverAcknowledged {
+                    src: span.src,
+                    seq: span.seq,
+                    missing,
+                    span: span.clone(),
+                });
             }
         }
         out
     }
 
     /// `(kind, count)` for every rule kind, including zeros — the shape
-    /// the Prometheus findings gauge wants.
+    /// the Prometheus findings gauge wants. Counts what
+    /// [`findings`](StreamingDetectors::findings) would report without
+    /// building the evidence.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
-        let findings = self.findings();
+        let spans = || self.set.spans.values();
+        // In `Finding::KINDS` order.
+        let counts = [
+            self.ret_storms().count(),
+            self.loss_closed.len() + usize::from(self.open_burst().is_some()),
+            self.saturated().count(),
+            spans().map(|span| self.stuck(span).count()).sum(),
+            spans()
+                .filter(|span| self.unacknowledged(span).is_some())
+                .count(),
+        ];
         Finding::KINDS
-            .iter()
-            .map(|&kind| {
-                (
-                    kind,
-                    findings.iter().filter(|f| f.kind() == kind).count() as u64,
-                )
-            })
+            .into_iter()
+            .zip(counts.map(|count| count as u64))
             .collect()
     }
 }
 
-/// An [`Observer`] running the streaming anomaly rules in-process for
-/// one node's live event stream: always-on anomaly detection with no
-/// trace file in the loop.
-#[derive(Debug, Clone, Default)]
+/// An [`Observer`] running the anomaly rules in-process over one node's
+/// live event stream: always-on detection with no trace file in the loop.
+///
+/// It reports the four rules that are defined on a single node's stream
+/// — RET storm, loss burst, flow saturation, stuck-at-pre-ack — and holds
+/// a span only while the node itself holds the PDU (module docs).
+/// Never-acknowledged needs the merged trace; its kind count is an
+/// explicit zero here.
+#[derive(Debug, Clone)]
 pub struct LiveDetector {
     node: u32,
     inner: StreamingDetectors,
@@ -488,24 +390,16 @@ impl LiveDetector {
     pub fn new(node: u32, cfg: AnomalyConfig) -> LiveDetector {
         LiveDetector {
             node,
-            inner: StreamingDetectors::new(cfg),
+            inner: StreamingDetectors::scoped(cfg, Scope::Node),
         }
     }
 
-    /// Declares the cluster size so complete spans are retired (keeps a
-    /// long-running node's detector memory bounded).
-    #[must_use]
-    pub fn with_cluster_size(mut self, n: usize) -> LiveDetector {
-        self.inner = self.inner.with_cluster_size(n);
-        self
-    }
-
-    /// The underlying streaming detectors.
+    /// The underlying detectors.
     pub fn detectors(&self) -> &StreamingDetectors {
         &self.inner
     }
 
-    /// Current findings snapshot (offline-equivalent order).
+    /// Current findings snapshot (report order).
     pub fn findings(&self) -> Vec<Finding> {
         self.inner.findings()
     }
@@ -525,28 +419,26 @@ impl Observer for LiveDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::stitch;
-    use crate::{analyze, detect};
-    use causal_order::{EntityId, Seq};
-
-    fn ev(node: u32, event: ProtocolEvent) -> TraceLine {
-        TraceLine::Event { node, event }
-    }
-
-    fn id(i: u32) -> EntityId {
-        EntityId::new(i)
-    }
+    use crate::analyze;
+    use crate::testkit::{
+        accepted, complete_broadcast, completes_at, delivered, ev, id, pre_acked, sent, tick,
+    };
+    use causal_order::Seq;
 
     fn time_sorted(mut lines: Vec<TraceLine>) -> Vec<TraceLine> {
-        lines.sort_by_key(|line| match *line {
-            TraceLine::Event { event, .. } => event.now_us(),
-            TraceLine::HostTco { at_us, .. } => at_us,
-        });
+        lines.sort_by_key(TraceLine::t_us);
         lines
     }
 
-    fn offline(lines: &[TraceLine], cfg: &AnomalyConfig) -> Vec<Finding> {
-        detect(lines, &stitch(lines), cfg)
+    /// `lines` in an order no writer would produce: reversed, then every
+    /// other line moved to the front.
+    fn shuffled(lines: &[TraceLine]) -> Vec<TraceLine> {
+        let reversed: Vec<TraceLine> = lines.iter().rev().copied().collect();
+        let (even, odd): (Vec<_>, Vec<_>) = reversed
+            .into_iter()
+            .enumerate()
+            .partition(|(i, _)| i % 2 == 0);
+        odd.into_iter().chain(even).map(|(_, line)| line).collect()
     }
 
     fn streamed(lines: &[TraceLine], cfg: &AnomalyConfig) -> Vec<Finding> {
@@ -557,30 +449,48 @@ mod tests {
         s.findings()
     }
 
+    /// Feeds a node's detector the events of `lines` (all its own).
+    fn feed(live: &mut LiveDetector, lines: &[TraceLine]) {
+        for line in lines {
+            if let TraceLine::Event { event, .. } = *line {
+                live.on_event(event);
+            }
+        }
+    }
+
+    fn ret_sent(node: u32, src: u32, now_us: u64) -> TraceLine {
+        let (src, lseq) = (id(src), Seq::new(3));
+        ev(node, ProtocolEvent::RetSent { src, lseq, now_us })
+    }
+
+    fn f1(node: u32, src: u32, now_us: u64) -> TraceLine {
+        let event = ProtocolEvent::F1Detected {
+            src: id(src),
+            expected: Seq::new(1),
+            got: Seq::new(3),
+            now_us,
+        };
+        ev(node, event)
+    }
+
+    fn flow_blocked(node: u32, limit: u64, now_us: u64) -> TraceLine {
+        let event = ProtocolEvent::FlowBlocked {
+            outstanding: 8,
+            limit,
+            now_us,
+        };
+        ev(node, event)
+    }
+
     /// A deliberately anomalous little trace exercising every rule.
     fn stormy_trace() -> Vec<TraceLine> {
         let mut lines = Vec::new();
         // RET storm on source 0: five requests in 80µs from two nodes.
-        for (i, t) in [0u64, 20, 40, 60, 80].iter().enumerate() {
-            lines.push(ev(
-                1 + (i as u32 % 2),
-                ProtocolEvent::RetSent {
-                    src: id(0),
-                    lseq: Seq::new(3),
-                    now_us: *t,
-                },
-            ));
+        for (i, t) in [0u64, 20, 40, 60, 80].into_iter().enumerate() {
+            lines.push(ret_sent(1 + (i as u32 % 2), 0, t));
         }
         // Loss burst: three detections inside the gap, one stray later.
-        lines.push(ev(
-            1,
-            ProtocolEvent::F1Detected {
-                src: id(0),
-                expected: Seq::new(1),
-                got: Seq::new(3),
-                now_us: 100,
-            },
-        ));
+        lines.push(f1(1, 0, 100));
         lines.push(ev(
             2,
             ProtocolEvent::F2Detected {
@@ -590,64 +500,21 @@ mod tests {
                 now_us: 130,
             },
         ));
-        lines.push(ev(
-            1,
-            ProtocolEvent::F1Detected {
-                src: id(2),
-                expected: Seq::new(1),
-                got: Seq::new(2),
-                now_us: 160,
-            },
-        ));
-        lines.push(ev(
-            1,
-            ProtocolEvent::F1Detected {
-                src: id(2),
-                expected: Seq::new(2),
-                got: Seq::new(4),
-                now_us: 9_000,
-            },
-        ));
+        lines.push(f1(1, 2, 160));
+        lines.push(f1(1, 2, 9_000));
         // Flow saturation at node 2.
         for t in [200u64, 220, 240] {
-            lines.push(ev(
-                2,
-                ProtocolEvent::FlowBlocked {
-                    outstanding: 8,
-                    limit: if t == 240 { 0 } else { 4 },
-                    now_us: t,
-                },
-            ));
+            lines.push(flow_blocked(2, if t == 240 { 0 } else { 4 }, t));
         }
         // A broadcast that pre-acks at node 1 but never delivers, and is
         // never delivered anywhere else either.
-        lines.push(ev(
-            0,
-            ProtocolEvent::DataSent {
-                src: id(0),
-                seq: Seq::new(9),
-                now_us: 300,
-            },
-        ));
-        lines.push(ev(
-            1,
-            ProtocolEvent::Accepted {
-                src: id(0),
-                seq: Seq::new(9),
-                from_reorder: false,
-                now_us: 320,
-            },
-        ));
-        lines.push(ev(
-            1,
-            ProtocolEvent::PreAcked {
-                src: id(0),
-                seq: Seq::new(9),
-                now_us: 340,
-            },
-        ));
+        lines.extend([
+            sent(0, 9, 300),
+            accepted(1, 0, 9, 320),
+            pre_acked(1, 0, 9, 340),
+        ]);
         // Late activity stretches end_us past the staleness gate.
-        lines.push(ev(0, ProtocolEvent::AckOnlySent { now_us: 40_000 }));
+        lines.push(tick(0, 40_000));
         time_sorted(lines)
     }
 
@@ -659,78 +526,40 @@ mod tests {
             loss_cluster_gap_us: 1_000,
             loss_cluster_min: 3,
             flow_blocked_min: 3,
-            ..AnomalyConfig::default()
         }
     }
 
     #[test]
-    fn matches_offline_on_a_trace_with_every_rule_firing() {
+    fn line_order_does_not_matter_on_a_trace_with_every_rule_firing() {
         let lines = stormy_trace();
         let cfg = lowered();
-        let off = offline(&lines, &cfg);
-        let kinds: Vec<_> = off.iter().map(Finding::kind).collect();
+        let sorted = analyze(&lines, &cfg).findings;
+        let kinds: Vec<_> = sorted.iter().map(Finding::kind).collect();
         for expected in Finding::KINDS {
-            assert!(
-                kinds.contains(&expected),
-                "offline missing {expected}: {kinds:?}"
-            );
+            assert!(kinds.contains(&expected), "missing {expected}: {kinds:?}");
         }
-        assert_eq!(streamed(&lines, &cfg), off);
+        assert_eq!(analyze(&shuffled(&lines), &cfg).findings, sorted);
+        // A sorted trace goes through the fold as given.
+        assert_eq!(streamed(&lines, &cfg), sorted);
     }
 
     #[test]
-    fn matches_offline_under_default_thresholds_too() {
+    fn line_order_does_not_matter_under_default_thresholds_either() {
         let lines = stormy_trace();
         let cfg = AnomalyConfig::default();
-        assert_eq!(streamed(&lines, &cfg), offline(&lines, &cfg));
+        assert_eq!(
+            analyze(&shuffled(&lines), &cfg).findings,
+            analyze(&lines, &cfg).findings
+        );
     }
 
     #[test]
-    fn matches_offline_on_clean_and_empty_traces() {
+    fn clean_and_empty_traces_have_no_findings_in_any_order() {
         let cfg = lowered();
-        assert_eq!(streamed(&[], &cfg), offline(&[], &cfg));
-        let (src, seq) = (id(0), Seq::new(1));
-        let mut lines = vec![ev(
-            0,
-            ProtocolEvent::DataSent {
-                src,
-                seq,
-                now_us: 10,
-            },
-        )];
-        for node in 0..2u32 {
-            if node != 0 {
-                lines.push(ev(
-                    node,
-                    ProtocolEvent::Accepted {
-                        src,
-                        seq,
-                        from_reorder: false,
-                        now_us: 20,
-                    },
-                ));
-            }
-            lines.push(ev(
-                node,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 30,
-                },
-            ));
-            lines.push(ev(
-                node,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 40,
-                },
-            ));
-        }
-        let lines = time_sorted(lines);
-        let off = offline(&lines, &cfg);
-        assert!(off.is_empty());
-        assert_eq!(streamed(&lines, &cfg), off);
+        assert!(analyze(&[], &cfg).findings.is_empty());
+        let lines = complete_broadcast(2, 0, 1, 10);
+        assert!(analyze(&lines, &cfg).findings.is_empty());
+        assert!(analyze(&shuffled(&lines), &cfg).findings.is_empty());
     }
 
     #[test]
@@ -742,27 +571,10 @@ mod tests {
         };
         // Three requests at the same instant, arriving in two different
         // (but both time-nondecreasing) orders.
-        let reqs = |order: [u32; 3]| -> Vec<TraceLine> {
-            order
-                .iter()
-                .map(|&node| {
-                    ev(
-                        node,
-                        ProtocolEvent::RetSent {
-                            src: id(0),
-                            lseq: Seq::new(1),
-                            now_us: 50,
-                        },
-                    )
-                })
-                .collect()
-        };
-        let a = reqs([3, 1, 2]);
-        let b = reqs([2, 3, 1]);
-        let off = offline(&a, &cfg);
-        assert_eq!(off.len(), 1);
-        assert_eq!(streamed(&a, &cfg), off);
-        assert_eq!(streamed(&b, &cfg), off);
+        let reqs = |order: [u32; 3]| order.map(|node| ret_sent(node, 0, 50));
+        let found = streamed(&reqs([3, 1, 2]), &cfg);
+        assert_eq!(found.len(), 1);
+        assert_eq!(streamed(&reqs([2, 3, 1]), &cfg), found);
     }
 
     #[test]
@@ -772,18 +584,8 @@ mod tests {
             ret_storm_window_us: 100,
             ..AnomalyConfig::default()
         };
-        let mut s = StreamingDetectors::new(cfg);
-        for (node, t) in [(1u32, 0u64), (2, 50), (1, 90), (2, 500)] {
-            s.observe(
-                node,
-                ProtocolEvent::RetSent {
-                    src: id(0),
-                    lseq: Seq::new(9),
-                    now_us: t,
-                },
-            );
-        }
-        let findings = s.findings();
+        let requests = [(1u32, 0u64), (2, 50), (1, 90), (2, 500)];
+        let findings = streamed(&requests.map(|(node, t)| ret_sent(node, 0, t)), &cfg);
         assert_eq!(findings.len(), 1);
         match &findings[0] {
             Finding::RetStorm {
@@ -804,62 +606,62 @@ mod tests {
     }
 
     #[test]
-    fn cluster_size_pruning_keeps_findings_and_bounds_spans() {
-        let cfg = lowered();
-        let mut lines = stormy_trace();
-        // Add a hundred broadcasts that complete at both nodes of a
-        // 3-node cluster; with pruning they must all retire.
-        for k in 0..100u64 {
-            let (src, seq) = (id(0), Seq::new(100 + k));
-            let t = 1_000 + k * 10;
-            lines.push(ev(
-                0,
-                ProtocolEvent::DataSent {
-                    src,
-                    seq,
-                    now_us: t,
-                },
-            ));
-            for node in 0..3u32 {
-                if node != 0 {
-                    lines.push(ev(
-                        node,
-                        ProtocolEvent::Accepted {
-                            src,
-                            seq,
-                            from_reorder: false,
-                            now_us: t + 1,
-                        },
-                    ));
-                }
-                lines.push(ev(
-                    node,
-                    ProtocolEvent::PreAcked {
-                        src,
-                        seq,
-                        now_us: t + 2,
-                    },
-                ));
-                lines.push(ev(
-                    node,
-                    ProtocolEvent::Delivered {
-                        src,
-                        seq,
-                        now_us: t + 3,
-                    },
-                ));
+    fn live_detector_holds_a_pdu_only_until_its_local_delivery() {
+        for node in 0..3u32 {
+            let mut live = LiveDetector::new(node, lowered());
+            for k in 0..100u64 {
+                let [first, pre_ack, delivery] = completes_at(node, 0, 100 + k, 1_000 + k * 10);
+                feed(&mut live, &[first, pre_ack]);
+                assert_eq!(live.detectors().spans().spans.len(), 1, "held: in flight");
+                feed(&mut live, &[delivery]);
+                assert!(live.detectors().spans().spans.is_empty(), "node {node}");
             }
+            // Long after: nothing is held, so nothing is stale — and a
+            // node never judges other nodes' deliveries.
+            feed(&mut live, &[tick(node, 900_000)]);
+            assert_eq!(live.findings(), vec![], "node {node}");
         }
-        let lines = time_sorted(lines);
-        let off = offline(&lines, &cfg);
-        let mut pruned = StreamingDetectors::new(cfg).with_cluster_size(3);
-        for line in &lines {
-            pruned.observe_line(line);
+    }
+
+    #[test]
+    fn live_detector_reports_the_local_stages_of_a_stuck_pdu() {
+        let mut live = LiveDetector::new(1, lowered());
+        let [accept, pre_ack, _] = completes_at(1, 0, 9, 300);
+        feed(&mut live, &[accept, pre_ack, tick(1, 40_000)]);
+        match &live.findings()[..] {
+            [Finding::StuckAtPreAck {
+                node: 1,
+                src: 0,
+                seq: 9,
+                span,
+                ..
+            }] => assert!(matches!(span.stages[..], [(1, _)])),
+            other => panic!("expected one stuck PDU, got {other:?}"),
         }
-        assert_eq!(pruned.findings(), off);
-        assert_eq!(pruned.pruned_spans(), 100);
-        // Only the deliberately-incomplete span stays resident.
-        assert_eq!(pruned.open_spans(), 1);
+        assert!(live.kind_counts().contains(&("stuck_at_pre_ack", 1)));
+    }
+
+    #[test]
+    fn own_stale_broadcasts_are_not_never_acknowledged_on_a_node_stream() {
+        // 200 own broadcasts the node sent long ago and has not delivered:
+        // each would be `never_acknowledged` to a detector that mistook
+        // this stream for the whole cluster's.
+        let mut live = LiveDetector::new(0, AnomalyConfig::default());
+        for k in 1..=200u64 {
+            feed(&mut live, &[sent(0, k, k)]);
+        }
+        feed(&mut live, &[tick(0, 10_000_000)]);
+        assert_eq!(live.findings(), vec![]);
+        let mut rendered = String::new();
+        co_observe::prom::render_findings(
+            &co_observe::SeriesLabels::node(0),
+            &live.kind_counts(),
+            &mut rendered,
+        );
+        assert!(
+            rendered.contains("kind=\"never_acknowledged\"} 0\n"),
+            "{rendered}"
+        );
     }
 
     #[test]
@@ -868,15 +670,9 @@ mod tests {
             flow_blocked_min: 2,
             ..AnomalyConfig::default()
         };
-        let mut live = LiveDetector::new(2, cfg).with_cluster_size(3);
+        let mut live = LiveDetector::new(2, cfg);
         assert!(live.findings().is_empty());
-        for t in [10u64, 20] {
-            live.on_event(ProtocolEvent::FlowBlocked {
-                outstanding: 6,
-                limit: 3,
-                now_us: t,
-            });
-        }
+        feed(&mut live, &[flow_blocked(2, 3, 10), flow_blocked(2, 3, 20)]);
         let findings = live.findings();
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind(), "flow_saturation");
@@ -900,101 +696,27 @@ mod tests {
             stuck_preack_us: 1_000,
             ..AnomalyConfig::default()
         };
-        let (src, seq) = (id(0), Seq::new(1));
-        let mut s = StreamingDetectors::new(cfg);
-        s.observe(
-            0,
-            ProtocolEvent::DataSent {
-                src,
-                seq,
-                now_us: 10,
-            },
-        );
-        s.observe(
-            1,
-            ProtocolEvent::Accepted {
-                src,
-                seq,
-                from_reorder: false,
-                now_us: 20,
-            },
-        );
-        s.observe(
-            1,
-            ProtocolEvent::PreAcked {
-                src,
-                seq,
-                now_us: 30,
-            },
-        );
-        s.observe(0, ProtocolEvent::AckOnlySent { now_us: 5_000 });
-        let kinds: Vec<_> = s.findings().iter().map(Finding::kind).collect();
-        assert!(kinds.contains(&"stuck_at_pre_ack"), "{kinds:?}");
-        s.observe(
-            1,
-            ProtocolEvent::Delivered {
-                src,
-                seq,
-                now_us: 5_100,
-            },
-        );
-        s.observe(
-            0,
-            ProtocolEvent::Delivered {
-                src,
-                seq,
-                now_us: 5_100,
-            },
-        );
-        let kinds: Vec<_> = s.findings().iter().map(Finding::kind).collect();
-        assert!(!kinds.contains(&"stuck_at_pre_ack"), "{kinds:?}");
-        // Matches a fresh offline pass over the same history at both
-        // checkpoints by construction; spot-check the final one.
-        let lines: Vec<TraceLine> = vec![
-            ev(
-                0,
-                ProtocolEvent::DataSent {
-                    src,
-                    seq,
-                    now_us: 10,
-                },
-            ),
-            ev(
-                1,
-                ProtocolEvent::Accepted {
-                    src,
-                    seq,
-                    from_reorder: false,
-                    now_us: 20,
-                },
-            ),
-            ev(
-                1,
-                ProtocolEvent::PreAcked {
-                    src,
-                    seq,
-                    now_us: 30,
-                },
-            ),
-            ev(0, ProtocolEvent::AckOnlySent { now_us: 5_000 }),
-            ev(
-                1,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 5_100,
-                },
-            ),
-            ev(
-                0,
-                ProtocolEvent::Delivered {
-                    src,
-                    seq,
-                    now_us: 5_100,
-                },
-            ),
+        let lines = [
+            sent(0, 1, 10),
+            accepted(1, 0, 1, 20),
+            pre_acked(1, 0, 1, 30),
+            tick(0, 5_000),
+            delivered(1, 0, 1, 5_100),
+            delivered(0, 0, 1, 5_100),
         ];
-        assert_eq!(s.findings(), offline(&lines, &cfg));
+        let mut s = StreamingDetectors::new(cfg);
+        let mut kinds_after = |upto: std::ops::Range<usize>| -> Vec<&'static str> {
+            for line in &lines[upto] {
+                s.observe_line(line);
+            }
+            s.findings().iter().map(Finding::kind).collect()
+        };
+        let kinds = kinds_after(0..4);
+        assert!(kinds.contains(&"stuck_at_pre_ack"), "{kinds:?}");
+        let kinds = kinds_after(4..6);
+        assert!(!kinds.contains(&"stuck_at_pre_ack"), "{kinds:?}");
+        // The snapshot is what a fresh pass over the same history reports.
+        assert_eq!(s.findings(), analyze(&lines, &cfg).findings);
     }
 
     #[test]
@@ -1003,33 +725,16 @@ mod tests {
             stuck_preack_us: 1_000,
             ..AnomalyConfig::default()
         };
-        let (src, seq) = (id(0), Seq::new(1));
-        let lines = vec![
-            ev(
-                0,
-                ProtocolEvent::DataSent {
-                    src,
-                    seq,
-                    now_us: 10,
-                },
-            ),
+        let lines = [
+            sent(0, 1, 10),
             TraceLine::HostTco {
                 node: 1,
                 at_us: 9_000,
                 dur_us: 50,
             },
         ];
-        let off = offline(&lines, &cfg);
-        assert_eq!(streamed(&lines, &cfg), off);
-        assert_eq!(off.len(), 1);
-        assert_eq!(off[0].kind(), "never_acknowledged");
-    }
-
-    #[test]
-    fn streaming_report_agrees_with_analyze_findings() {
-        let lines = stormy_trace();
-        let cfg = lowered();
-        let report = analyze(&lines, &cfg);
-        assert_eq!(streamed(&lines, &cfg), report.findings);
+        let found = streamed(&lines, &cfg);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].kind(), "never_acknowledged");
     }
 }

@@ -1,20 +1,22 @@
-//! Property test: the streaming detectors are *bit-identical* to the
-//! offline anomaly pass on arbitrary lossy, reordering, duplicating
-//! schedules.
+//! Property tests of the anomaly fold on arbitrary lossy, reordering,
+//! duplicating schedules.
 //!
 //! The generator draws arbitrary mixes of span stages (including missing
 //! stages — loss — and repeated stages — duplication), RET requests,
 //! F1/F2 detections, flow-blocked gauges, and host Tco annotations, over
-//! colliding `(src, seq)` pairs, then sorts stably by timestamp — the
-//! canonical merged-trace order every real consumer feeds the detectors
-//! in. For every such stream and every configuration drawn,
-//! [`StreamingDetectors`] must reproduce [`detect`] exactly: same
-//! findings, same evidence, same order. The span-pruned variant (bounded
-//! memory) must agree too.
+//! colliding `(src, seq)` pairs. For every such trace and every
+//! configuration drawn:
+//!
+//! * [`analyze`] over the per-node dumps, concatenated, reports exactly
+//!   what it reports over the time-sorted merge — same findings, same
+//!   evidence, same order (the input contract: any line order);
+//! * a [`LiveDetector`] fed one node's lines agrees with the merged
+//!   report on that node's flow saturation, never reports
+//!   `never_acknowledged`, and counts what it reports.
 
 use causal_order::{EntityId, Seq};
-use co_observe::{ProtocolEvent, TraceLine};
-use co_trace::{detect, stitch, AnomalyConfig, StreamingDetectors};
+use co_observe::{Observer, ProtocolEvent, TraceLine};
+use co_trace::{analyze, AnomalyConfig, Finding, LiveDetector};
 use proptest::prelude::*;
 
 const N: u32 = 4;
@@ -156,49 +158,61 @@ fn config() -> impl Strategy<Value = AnomalyConfig> {
         )
 }
 
+fn node_of(line: &TraceLine) -> u32 {
+    match *line {
+        TraceLine::Event { node, .. } | TraceLine::HostTco { node, .. } => node,
+    }
+}
+
 proptest! {
     #[test]
-    fn streaming_matches_offline_on_arbitrary_merged_traces(
+    fn line_order_does_not_change_a_finding_on_arbitrary_traces(
         mut lines in proptest::collection::vec(line(), 0..120),
         cfg in config(),
     ) {
         // Stable sort by timestamp: the canonical merged-trace order.
         // Everything else about the stream stays adversarial — missing
         // stages, duplicates, colliding (src, seq), interleaved nodes.
-        lines.sort_by_key(|l| match l {
-            TraceLine::Event { event, .. } => event.now_us(),
-            TraceLine::HostTco { at_us, .. } => *at_us,
-        });
-        let offline = detect(&lines, &stitch(&lines), &cfg);
-        let mut streaming = StreamingDetectors::new(cfg);
-        let mut pruning = StreamingDetectors::new(cfg).with_cluster_size(N as usize);
-        for l in &lines {
-            streaming.observe_line(l);
-            pruning.observe_line(l);
-        }
-        prop_assert_eq!(streaming.findings(), offline.clone());
-        prop_assert_eq!(pruning.findings(), offline);
+        lines.sort_by_key(TraceLine::t_us);
+        // The same lines as per-node dumps, last node first: lines of
+        // equal timestamp from different nodes change places.
+        let dumps: Vec<TraceLine> = (0..N)
+            .rev()
+            .flat_map(|node| lines.iter().copied().filter(move |l| node_of(l) == node))
+            .collect();
+        prop_assert_eq!(analyze(&dumps, &cfg).findings, analyze(&lines, &cfg).findings);
     }
 
     #[test]
-    fn snapshots_match_offline_at_every_prefix(
-        mut lines in proptest::collection::vec(line(), 0..40),
+    fn node_scope_agrees_with_the_merged_report_on_arbitrary_traces(
+        mut lines in proptest::collection::vec(line(), 0..120),
         cfg in config(),
     ) {
-        // Stronger than end-of-trace equality: the streaming state is a
-        // faithful snapshot after *any* time-sorted prefix — the live
-        // pipeline can be sampled mid-run (Prometheus scrape, watch tick)
-        // and still agree with an offline pass over what it has seen.
-        lines.sort_by_key(|l| match l {
-            TraceLine::Event { event, .. } => event.now_us(),
-            TraceLine::HostTco { at_us, .. } => *at_us,
-        });
-        let mut streaming = StreamingDetectors::new(cfg);
-        for (i, l) in lines.iter().enumerate() {
-            streaming.observe_line(l);
-            let prefix = &lines[..=i];
-            let offline = detect(prefix, &stitch(prefix), &cfg);
-            prop_assert_eq!(streaming.findings(), offline, "prefix length {}", i + 1);
+        lines.sort_by_key(TraceLine::t_us);
+        let merged = analyze(&lines, &cfg).findings;
+        for node in 0..N {
+            let mut live = LiveDetector::new(node, cfg);
+            for line in &lines {
+                if let TraceLine::Event { node: at, event } = *line {
+                    if at == node {
+                        live.on_event(event);
+                    }
+                }
+            }
+            let saturation = |findings: &[Finding]| -> Vec<Finding> {
+                findings
+                    .iter()
+                    .filter(|f| matches!(f, Finding::FlowSaturation { node: at, .. } if *at == node))
+                    .cloned()
+                    .collect()
+            };
+            let findings = live.findings();
+            prop_assert_eq!(saturation(&findings), saturation(&merged), "node {}", node);
+            for (kind, count) in live.kind_counts() {
+                let reported = findings.iter().filter(|f| f.kind() == kind).count() as u64;
+                prop_assert_eq!(count, reported, "node {}: kind {}", node, kind);
+                prop_assert!(kind != "never_acknowledged" || count == 0, "node {}", node);
+            }
         }
     }
 }

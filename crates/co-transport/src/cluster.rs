@@ -266,7 +266,7 @@ impl Cluster {
             // the cluster's final transitions — then propagate the
             // failure so callers see the panic, not a quiet partial run.
             for r in &reports {
-                eprintln!("{}", r.flight_recorder.to_json());
+                eprintln!("{}", r.flight_recorder.to_json().to_compact());
             }
             let victim = reports
                 .iter()

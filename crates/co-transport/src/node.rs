@@ -10,14 +10,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::report::{trace_time_us, NodeReport};
+use crate::report::NodeReport;
 
 /// The observer every cluster entity runs with: latency histograms always
 /// (cheap, bounded state), a flight-recorder ring of the most recent
-/// events plus the live streaming anomaly detectors (both bounded), and a
+/// events plus the node-scope anomaly detectors (both bounded: the ring by
+/// its depth, the detectors by the PDUs the entity itself holds), and a
 /// full event log only when tracing is on.
 pub(crate) type NodeObserver =
     Tee<LatencyTracker, Tee<Option<EventLog>, Tee<FlightRecorder, LiveDetector>>>;
+
+/// A node that cannot quiesce after a shutdown request (a partitioned
+/// peer, say) exits anyway once idle for this many drain-idle windows.
+const HARD_EXIT_IDLE_WINDOWS: u32 = 20;
 
 /// The `network` label stamped on threaded-cluster recorder dumps: this
 /// transport runs on real channels, not an `mc-net` preset.
@@ -248,7 +253,7 @@ impl<C: DeliveryCore> NodeRuntime<C> {
             );
             // Events were appended after the HostTco lines; restore time
             // order (stable within equal timestamps).
-            report.trace.sort_by_key(trace_time_us);
+            report.trace.sort_by_key(TraceLine::t_us);
         }
         if let Err(payload) = outcome {
             report.panicked = Some(panic_message(payload.as_ref()));
@@ -298,7 +303,8 @@ impl<C: DeliveryCore> NodeRuntime<C> {
             {
                 break;
             }
-            if shutting_down && last_activity.elapsed() >= self.drain_idle.mul_add_guard() {
+            if shutting_down && last_activity.elapsed() >= self.drain_idle * HARD_EXIT_IDLE_WINDOWS
+            {
                 // Hard exit: something (e.g. a partitioned peer) prevents
                 // quiescence; report what we have.
                 break;
@@ -316,17 +322,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-trait DrainGuard {
-    fn mul_add_guard(&self) -> Duration;
-}
-
-impl DrainGuard for Duration {
-    /// Hard-exit bound: 20× the idle window.
-    fn mul_add_guard(&self) -> Duration {
-        *self * 20
     }
 }
 

@@ -45,10 +45,12 @@ pub struct NodeReport {
     /// events, captured at shutdown — or at panic, so a crashed node's
     /// final transitions survive even when no trace was recorded.
     pub flight_recorder: RecorderDump,
-    /// Findings from the node's live streaming detectors over its *own*
-    /// event stream (the node-local rules: RET storms, loss bursts, flow
-    /// saturation). Cross-node span findings need the merged trace and
-    /// live in [`NodeReport::span_report`].
+    /// Findings of the node's [`co_trace::LiveDetector`], whose scope is
+    /// the node's *own* event stream: the four rules defined there (RET
+    /// storm, loss burst, flow saturation, stuck-at-pre-ack with the
+    /// local stages as evidence). The cluster-wide rule,
+    /// never-acknowledged, needs the merged trace and is judged — with
+    /// the other four over all nodes — in [`NodeReport::span_report`].
     pub live_findings: Vec<co_trace::Finding>,
     /// Set when the node thread panicked mid-run: the payload message.
     /// The report then carries everything measured up to the panic,
@@ -68,14 +70,6 @@ impl NodeReport {
     }
 }
 
-/// Sort key shared by traces: the shared-epoch timestamp of a line.
-pub(crate) fn trace_time_us(line: &TraceLine) -> u64 {
-    match line {
-        TraceLine::Event { event, .. } => event.now_us(),
-        TraceLine::HostTco { at_us, .. } => *at_us,
-    }
-}
-
 /// Merges the per-node traces of a run into one time-sorted stream — the
 /// cluster-wide trace the JSONL exporter writes and the offline Tco/Tap
 /// analysis (`co_observe::jsonl`) consumes. Nodes share the cluster
@@ -85,7 +79,7 @@ pub fn merged_trace(reports: &[NodeReport]) -> Vec<TraceLine> {
         .iter()
         .flat_map(|r| r.trace.iter().copied())
         .collect();
-    lines.sort_by_key(trace_time_us);
+    lines.sort_by_key(TraceLine::t_us);
     lines
 }
 

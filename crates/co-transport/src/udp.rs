@@ -173,7 +173,11 @@ fn run_node(
         trace: Vec::new(),
         span_report: None,
         // The UDP transport runs a bare entity (no observer stack): its
-        // reports carry an empty black box, not a missing one.
+        // reports carry an empty black box, not a missing one, and empty
+        // `live_findings` because no node-scope detector ran — not because
+        // the node-local rules were judged clean. (The cluster-wide rules
+        // live in `span_report`, which needs a trace this transport does
+        // not record.)
         flight_recorder: co_observe::RecorderDump::capture(
             &co_observe::FlightRecorder::default(),
             me.raw(),

@@ -12,6 +12,12 @@
 # pinned anywhere because the values depend on the `rand` the build
 # resolved; only two builds with one resolution can be compared.
 #
+# Then builds co-cli at both commits and compares, byte for byte, what
+# each prints for merged traces this checkout's co-check writes (seeds
+# 0-7, each also with --force-loss-burst): `trace analyze --json`,
+# `trace analyze` and `trace watch --once --json`, under the default
+# thresholds and under thresholds tight enough that the rules fire.
+#
 # Both sides run this checkout's co-check (the instrument) over their own
 # product crates, so a change to schedule generation or reporting cannot
 # show up as a product difference. If this checkout's co-check does not
@@ -36,19 +42,23 @@ base=$work/base
 trap 'git -C "$head" worktree remove --force "$base" 2>/dev/null; rm -rf "$work"' EXIT
 git -C "$head" worktree add --quiet --detach "$base" "$base_ref"
 
-build() { # <checkout> <target-dir>
-    (cd "$1" && CARGO_TARGET_DIR=$2 "${cargo_cmd[@]}" build --release --quiet -p co-check)
+build() { # <checkout> <target-dir> [package and target flags]
+    (cd "$1" && CARGO_TARGET_DIR=$2 "${cargo_cmd[@]}" build --release --quiet "${@:3}")
 }
-build "$head" "$target"
+build "$head" "$target" -p co-check
 [[ -f $head/Cargo.lock ]] && cp "$head/Cargo.lock" "$base/Cargo.lock"
 mv "$base/crates/co-check" "$work/base-co-check"
 cp -r "$head/crates/co-check" "$base/crates/co-check"
-if ! build "$base" "$target/digest-diff-base"; then
+if ! build "$base" "$target/digest-diff-base" -p co-check; then
     echo "digest-diff: this checkout's co-check does not build against $base_ref; using its own" >&2
     rm -rf "$base/crates/co-check"
     mv "$work/base-co-check" "$base/crates/co-check"
-    build "$base" "$target/digest-diff-base"
+    build "$base" "$target/digest-diff-base" -p co-check
 fi
+# Only the co-cli binary: co-node does not build against the offline
+# crossbeam stand-in.
+build "$head" "$target" -p co-cli --bin co-cli
+build "$base" "$target/digest-diff-base" -p co-cli --bin co-cli
 
 # The digest lines of a report (exploration or replay), or nothing.
 folds() { # <co-check binary> <args...>
@@ -86,5 +96,36 @@ for core in co hybrid sender; do
 done
 for reproducer in "$head"/tests/regressions/*.json "$head"/tests/regressions/fixed/*.json; do
     compare "replay ${reproducer#"$head"/}" --replay "$reproducer"
+done
+
+# What each side's co-cli prints for one trace, compared byte for byte.
+compare_cli() { # <label> <co-cli args...>
+    local label=$1
+    shift
+    "$target/release/co-cli" "$@" >"$work/ours.out"
+    "$target/digest-diff-base/release/co-cli" "$@" >"$work/theirs.out"
+    if ! cmp "$work/ours.out" "$work/theirs.out" >&2; then
+        printf 'digest-diff: %s DIFFERS (< this checkout, > %s)\n' "$label" "$base_ref" >&2
+        diff "$work/ours.out" "$work/theirs.out" | cut -c1-400 | head -20 >&2
+        exit 1
+    fi
+    echo "identical  $label"
+}
+tight=(--ret-storm-requests 2 --ret-storm-window-us 30000 --stuck-preack-us 2000
+    --loss-cluster-min 1 --flow-blocked-min 1)
+for seed in 0 1 2 3 4 5 6 7; do
+    for burst in "" --force-loss-burst; do
+        trace=$work/seed$seed$burst.jsonl
+        "$target/release/co-check" --schedules 1 --seed "$seed" --trace-out "$trace" $burst \
+            --out "$work" >/dev/null
+        for thresholds in default tight; do
+            flags=()
+            [[ $thresholds == tight ]] && flags=("${tight[@]}")
+            cell="seed $seed${burst:+ burst}, $thresholds thresholds"
+            compare_cli "analyze --json  $cell" trace analyze "$trace" --json "${flags[@]}"
+            compare_cli "analyze (text)  $cell" trace analyze "$trace" "${flags[@]}"
+            compare_cli "watch --once    $cell" trace watch "$trace" --once --json "${flags[@]}"
+        done
+    done
 done
 echo "digest-diff: bit-identical to $base_ref on every cell"
