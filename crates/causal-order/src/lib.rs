@@ -6,9 +6,9 @@
 //!   (a *cluster* `C = ⟨E_1, …, E_n⟩` of system entities, each numbering its
 //!   own PDUs with per-source sequence numbers starting at 1, exactly as in
 //!   Example 4.1 of the paper);
-//! * [`VectorClock`] and [`LamportClock`] — the "virtual clock" machinery the
-//!   paper contrasts against (ISIS CBCAST orders PDUs with vector clocks; the
-//!   CO protocol orders them with sequence numbers alone);
+//! * [`VectorClock`] — the "virtual clock" machinery the paper contrasts
+//!   against (ISIS CBCAST orders PDUs with vector clocks; the CO protocol
+//!   orders them with sequence numbers alone);
 //! * [`EventGraph`] — an explicit happened-before graph used as a *test
 //!   oracle*: integration tests replay a trace of send/receive events and ask
 //!   the graph whether Lamport's `→` relation holds between any two events;
@@ -36,16 +36,12 @@
 
 mod entity_id;
 mod event_graph;
-mod lamport;
-mod log;
 pub mod properties;
 pub mod seq_causality;
 mod vector_clock;
 
 pub use entity_id::{ClusterSpec, EntityId, EntityIdError};
 pub use event_graph::{Event, EventGraph, EventId, MsgId};
-pub use lamport::LamportClock;
-pub use log::Log;
 pub use seq_causality::{causally_precedes, CausalRelation, SeqMeta};
 pub use vector_clock::{ClockOrdering, VectorClock, VectorClockError};
 

@@ -1,8 +1,8 @@
 //! Property-based tests of the clock and oracle substrates: vector-clock
-//! algebra, Lamport-clock consistency, and agreement between the explicit
-//! happened-before graph and vector-clock causality on simulated runs.
+//! algebra, and agreement between the explicit happened-before graph and
+//! vector-clock causality on simulated runs.
 
-use causal_order::{ClockOrdering, EntityId, EventGraph, LamportClock, MsgId, VectorClock};
+use causal_order::{ClockOrdering, EntityId, EventGraph, MsgId, VectorClock};
 use proptest::prelude::*;
 
 fn arb_clock(n: usize) -> impl Strategy<Value = VectorClock> {
@@ -94,9 +94,8 @@ proptest! {
         let n = 3;
         let mut graph = EventGraph::new();
         let mut clocks: Vec<VectorClock> = (0..n).map(|_| VectorClock::new(n)).collect();
-        let mut lamports: Vec<LamportClock> = (0..n).map(|_| LamportClock::new()).collect();
-        // (msg, sender, vc at send, lamport at send)
-        let mut sent: Vec<(MsgId, u32, VectorClock, u64)> = Vec::new();
+        // (msg, sender, vc at send)
+        let mut sent: Vec<(MsgId, u32, VectorClock)> = Vec::new();
         let mut next_msg = 0u64;
         for step in steps {
             match step {
@@ -104,28 +103,26 @@ proptest! {
                     let msg = MsgId(next_msg);
                     next_msg += 1;
                     clocks[e as usize].tick(EntityId::new(e));
-                    let lt = lamports[e as usize].tick();
                     graph.record_send(EntityId::new(e), msg);
-                    sent.push((msg, e, clocks[e as usize].clone(), lt));
+                    sent.push((msg, e, clocks[e as usize].clone()));
                 }
                 Step::Recv(e, k) => {
                     if sent.is_empty() {
                         continue;
                     }
-                    let (msg, sender, vc, lt) = sent[k % sent.len()].clone();
+                    let (msg, sender, vc) = sent[k % sent.len()].clone();
                     if sender == e {
                         continue; // no self-receipt in this model
                     }
                     graph.record_receive(EntityId::new(e), msg);
                     clocks[e as usize].merge(&vc).unwrap();
                     clocks[e as usize].tick(EntityId::new(e));
-                    lamports[e as usize].observe(lt);
                 }
             }
         }
         // Graph ⇒ and VC-before must coincide on every message pair.
-        for (p, _, vp, ltp) in &sent {
-            for (q, _, vq, ltq) in &sent {
+        for (p, _, vp) in &sent {
+            for (q, _, vq) in &sent {
                 if p == q {
                     continue;
                 }
@@ -135,10 +132,6 @@ proptest! {
                     graph_says, vc_says,
                     "disagree on {} ⇒ {} (vc {} vs {})", p, q, vp, vq
                 );
-                // Lamport consistency: causality implies smaller stamp.
-                if graph_says {
-                    prop_assert!(ltp < ltq);
-                }
             }
         }
     }

@@ -3,7 +3,7 @@
 //! See the crate docs for usage; lines typed on stdin are broadcast, and
 //! every delivery is printed as `E<k>#<seq>  <text>` in causal order.
 
-use co_cli::{parse_args, run_node, NodeEvent};
+use co_cli::{parse_args, run_node, NodeEvent, NodeHandle};
 
 fn main() {
     let args = match parse_args(std::env::args().skip(1)) {
@@ -13,7 +13,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let handle = match run_node(args) {
+    let NodeHandle {
+        input,
+        events,
+        thread,
+    } = match run_node(args) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("failed to start node: {e}");
@@ -22,7 +26,6 @@ fn main() {
     };
 
     // Print events on a dedicated thread.
-    let events = handle.events.clone();
     let printer = std::thread::spawn(move || {
         for event in events {
             match event {
@@ -46,12 +49,15 @@ fn main() {
             Ok(_) => {
                 let trimmed = line.trim_end_matches(['\n', '\r']);
                 if !trimmed.is_empty() {
-                    let _ = handle.input.send(Some(trimmed.to_string()));
+                    let _ = input.send(Some(trimmed.to_string()));
                 }
             }
         }
     }
-    let _ = handle.input.send(None);
-    let _ = handle.thread.join();
+    let _ = input.send(None);
+    let crashed = thread.join().is_err();
     let _ = printer.join();
+    if crashed {
+        std::process::exit(1);
+    }
 }

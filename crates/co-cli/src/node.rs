@@ -1,4 +1,5 @@
-//! The node loop: one entity, one UDP socket, line-oriented IO.
+//! One entity on one UDP socket with line-oriented IO, on the shared
+//! real-time loop ([`co_transport::Node`]).
 //!
 //! Observability rides on the entity's observer hook: `--trace` streams
 //! every [`ProtocolEvent`] to a JSONL file as it happens, and `--metrics`
@@ -11,11 +12,12 @@ use bytes::Bytes;
 use causal_order::EntityId;
 use co_observe::jsonl::{self, TraceLine};
 use co_observe::{prom, FlowGauge, LatencyTracker, Observer, ProtocolEvent, Tee};
-use co_protocol::{Action, CoCore, Config, DeferralPolicy, DeliveryCore, Entity, Pdu};
+use co_protocol::{CoCore, Delivery, DeliveryCore, Entity};
 use co_trace::LiveDetector;
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use co_transport::{ClusterOptions, Host, Node};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -60,7 +62,7 @@ impl Observer for TraceWriter {
 /// state), plus the optional trace stream.
 type CliObserver = Tee<LatencyTracker, Tee<FlowGauge, Tee<TraceWriter, LiveDetector>>>;
 
-/// Serves `text` (refreshed by the node loop) as an HTTP metrics
+/// Serves `text` (refreshed by the node thread) as an HTTP metrics
 /// endpoint. One connection at a time is plenty for a scrape target.
 fn serve_metrics(listener: TcpListener, text: Arc<Mutex<String>>) {
     use std::io::Read;
@@ -124,11 +126,54 @@ pub struct NodeHandle {
     pub input: Sender<Option<String>>,
     /// Receive node events.
     pub events: Receiver<NodeEvent>,
-    /// Join handle of the node thread.
+    /// Join handle of the node thread; an `Err` means the node panicked
+    /// (after flushing its trace).
     pub thread: std::thread::JoinHandle<()>,
 }
 
-/// Spawns the node loop on its own thread.
+/// How often the node refreshes the metrics endpoint's text.
+const PUBLISH_INTERVAL: Duration = Duration::from_millis(250);
+
+/// What a CLI node does with the loop's outputs. It runs for as long as
+/// its operator likes, so it keeps nothing per delivery or per drain:
+/// deliveries go to the frontend, counters to the metrics text.
+struct Frontend {
+    events: Sender<NodeEvent>,
+    /// The text the metrics endpoint serves, and when it was last rendered.
+    metrics: Option<(Arc<Mutex<String>>, Option<Instant>)>,
+    labels: prom::SeriesLabels,
+}
+
+impl Host<CoCore, CliObserver> for Frontend {
+    fn deliver(&mut self, d: Delivery, _now_us: u64) {
+        let _ = self.events.send(NodeEvent::Delivered {
+            origin: d.src,
+            seq: d.seq.get(),
+            text: String::from_utf8_lossy(&d.data).into_owned(),
+        });
+    }
+
+    fn turn(&mut self, entity: &Entity<CoCore, CliObserver>) {
+        let Some((text, published)) = &mut self.metrics else {
+            return;
+        };
+        if published.is_some_and(|t| t.elapsed() < PUBLISH_INTERVAL) {
+            return;
+        }
+        let Tee(latency, Tee(flow, Tee(_, live))) = entity.observer();
+        let snapshot = entity.metrics().snapshot();
+        let mut rendered = prom::render_with_flow(&self.labels, &snapshot, latency, flow);
+        // The live anomaly pipeline rides the same endpoint: one gauge per
+        // finding kind, explicit zeros included.
+        prom::render_findings(&self.labels, &live.kind_counts(), &mut rendered);
+        if let Ok(mut slot) = text.lock() {
+            *slot = rendered;
+        }
+        *published = Some(Instant::now());
+    }
+}
+
+/// Spawns the node on its own thread.
 ///
 /// # Errors
 ///
@@ -137,11 +182,12 @@ pub struct NodeHandle {
 pub fn run_node(args: NodeArgs) -> std::io::Result<NodeHandle> {
     let n = args.peers.len() + 1;
     let me = EntityId::new(args.me);
-    let config = Config::builder(args.cid, n, me)
-        .window(args.window)
-        .deferral(DeferralPolicy::Deferred { timeout_us: 2_000 })
-        .build()
-        .map_err(std::io::Error::other)?;
+    let options = ClusterOptions {
+        cid: args.cid,
+        window: args.window,
+        ..ClusterOptions::default()
+    };
+    let config = options.config(n, me).map_err(std::io::Error::other)?;
     let observer = Tee(
         LatencyTracker::default(),
         Tee(
@@ -154,8 +200,8 @@ pub fn run_node(args: NodeArgs) -> std::io::Result<NodeHandle> {
     );
     let entity = Entity::with_observer(config, observer).map_err(std::io::Error::other)?;
 
-    // The metrics endpoint serves whatever the node loop last rendered.
-    let metrics_text = match args.metrics {
+    // The metrics endpoint serves whatever the node last rendered.
+    let metrics = match args.metrics {
         Some(addr) => {
             let listener = TcpListener::bind(addr)?;
             let text = Arc::new(Mutex::new(String::new()));
@@ -164,165 +210,66 @@ pub fn run_node(args: NodeArgs) -> std::io::Result<NodeHandle> {
                 .name(format!("co-node-{}-metrics", args.me))
                 .spawn(move || serve_metrics(listener, served))
                 .expect("spawn metrics thread");
-            Some(text)
+            Some((text, None))
         }
         None => None,
     };
-
-    let socket = UdpSocket::bind(args.bind)?;
-    socket.set_read_timeout(Some(Duration::from_micros(500)))?;
-    let local = socket.local_addr()?;
-
-    // Peer slot k in args.peers is entity k (k < me) or k+1 (k ≥ me).
-    let mut peer_addrs: Vec<Option<SocketAddr>> = vec![None; n];
-    for (k, &addr) in args.peers.iter().enumerate() {
-        let entity_index = if (k as u32) < args.me { k } else { k + 1 };
-        peer_addrs[entity_index] = Some(addr);
+    // Every exported series names the node, the delivery core it runs
+    // (the CLI always runs the reference engine), and — when the deployer
+    // said so — the network profile.
+    let mut labels = prom::SeriesLabels::node(args.me).with_core(CoCore::NAME);
+    if let Some(network) = &args.network_label {
+        labels = labels.with_network(network);
     }
 
-    let (input_tx, input_rx) = crossbeam::channel::unbounded::<Option<String>>();
-    let (event_tx, event_rx) = crossbeam::channel::unbounded::<NodeEvent>();
-    let _ = event_tx.send(NodeEvent::Ready { local, n });
+    let socket = UdpSocket::bind(args.bind)?;
+    let local = socket.local_addr()?;
+    // Every peer gets every frame, so the order of `--peer` flags is only
+    // documentation.
+    let reader = format!("co-node-{}-reader", args.me);
+    let (mut node, commands) =
+        Node::udp(entity, socket, args.peers, Instant::now(), &options, reader)?;
 
+    let (input, lines) = channel::<Option<String>>();
+    let (event_tx, events) = channel::<NodeEvent>();
+    let _ = event_tx.send(NodeEvent::Ready { local, n });
+    // Lines become submits; `None`, or the frontend hanging up, drops the
+    // command handle, which is the shutdown request.
+    let forwarder = std::thread::Builder::new()
+        .name(format!("co-node-{}-input", args.me))
+        .spawn(move || {
+            while let Ok(Some(line)) = lines.recv() {
+                commands.submit(Bytes::from(line.into_bytes()));
+            }
+        })
+        .expect("spawn input thread");
+
+    let mut frontend = Frontend {
+        events: event_tx,
+        metrics,
+        labels,
+    };
     let thread = std::thread::Builder::new()
         .name(format!("co-node-{}", args.me))
         .spawn(move || {
-            node_loop(
-                entity,
-                me,
-                socket,
-                peer_addrs,
-                input_rx,
-                event_tx,
-                metrics_text,
-                args.network_label,
-            )
+            let outcome = node.run(&mut frontend);
+            node.entity.observer_mut().1 .1 .0.flush();
+            let _ = frontend.events.send(NodeEvent::Stopped);
+            match outcome {
+                // The loop returns because the forwarder let go of the
+                // command handle, which is the last thing it does.
+                Ok(()) => forwarder.join().expect("input thread does not panic"),
+                Err(message) => panic!("node {} panicked: {message}", args.me),
+            }
         })
         .expect("spawn node thread");
 
     Ok(NodeHandle {
-        input: input_tx,
-        events: event_rx,
+        input,
+        events,
         thread,
     })
 }
-
-#[allow(clippy::too_many_arguments)]
-fn node_loop(
-    mut entity: Entity<CoCore, CliObserver>,
-    me: EntityId,
-    socket: UdpSocket,
-    peers: Vec<Option<SocketAddr>>,
-    input: Receiver<Option<String>>,
-    events: Sender<NodeEvent>,
-    metrics_text: Option<Arc<Mutex<String>>>,
-    network_label: Option<String>,
-) {
-    // Every exported series names the node, the delivery core it runs
-    // (the CLI always runs the reference engine), and — when the deployer
-    // said so — the network profile.
-    let mut labels = prom::SeriesLabels::node(me.raw()).with_core(CoCore::NAME);
-    if let Some(network) = &network_label {
-        labels = labels.with_network(network);
-    }
-    let epoch = Instant::now();
-    let now_us = || epoch.elapsed().as_micros() as u64;
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut stopping = false;
-    let mut last_activity = Instant::now();
-    let mut last_publish: Option<Instant> = None;
-
-    let dispatch = |actions: Vec<Action>, events: &Sender<NodeEvent>, socket: &UdpSocket| {
-        for action in actions {
-            match action {
-                Action::Broadcast(pdu) => {
-                    let raw = pdu.encode();
-                    for addr in peers.iter().flatten() {
-                        let _ = socket.send_to(&raw, addr);
-                    }
-                }
-                Action::Deliver(d) => {
-                    let _ = events.send(NodeEvent::Delivered {
-                        origin: d.src,
-                        seq: d.seq.get(),
-                        text: String::from_utf8_lossy(&d.data).into_owned(),
-                    });
-                }
-                // `Action` is #[non_exhaustive].
-                _ => {}
-            }
-        }
-    };
-
-    loop {
-        match socket.recv_from(&mut buf) {
-            Ok((len, _)) => {
-                if let Ok(pdu) = Pdu::decode(&buf[..len]) {
-                    let mut actions = Vec::new();
-                    if entity.on_pdu(pdu, now_us(), &mut actions).is_ok() {
-                        dispatch(actions, &events, &socket);
-                    }
-                }
-                last_activity = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let actions = entity.on_tick(now_us());
-                if !actions.is_empty() {
-                    last_activity = Instant::now();
-                }
-                dispatch(actions, &events, &socket);
-            }
-            Err(_) => {}
-        }
-        loop {
-            match input.try_recv() {
-                Ok(Some(line)) => {
-                    if let Ok((_, actions)) =
-                        entity.submit(Bytes::from(line.into_bytes()), now_us())
-                    {
-                        dispatch(actions, &events, &socket);
-                    }
-                    last_activity = Instant::now();
-                }
-                Ok(None) | Err(TryRecvError::Disconnected) => {
-                    stopping = true;
-                    break;
-                }
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        if let Some(text) = &metrics_text {
-            if last_publish.is_none_or(|t| t.elapsed() >= PUBLISH_INTERVAL) {
-                let Tee(latency, Tee(flow, Tee(_, live))) = entity.observer();
-                let mut rendered =
-                    prom::render_with_flow(&labels, &entity.metrics().snapshot(), latency, flow);
-                // The live anomaly pipeline rides the same endpoint: one
-                // gauge per finding kind, explicit zeros included.
-                prom::render_findings(&labels, &live.kind_counts(), &mut rendered);
-                if let Ok(mut slot) = text.lock() {
-                    *slot = rendered;
-                }
-                last_publish = Some(Instant::now());
-            }
-        }
-        if stopping {
-            let idle = last_activity.elapsed();
-            if (entity.is_quiescent() && idle >= Duration::from_millis(40))
-                || idle >= Duration::from_millis(800)
-            {
-                break;
-            }
-        }
-    }
-    entity.observer_mut().1 .1 .0.flush();
-    let _ = events.send(NodeEvent::Stopped);
-}
-
-/// How often the node loop refreshes the metrics endpoint's text.
-const PUBLISH_INTERVAL: Duration = Duration::from_millis(250);
 
 #[cfg(test)]
 mod tests {

@@ -4,24 +4,51 @@
 //! The paper ran one CO entity per SPARC2 workstation over Ethernet, with
 //! every application entity submitting DT requests "continuously like the
 //! file transfer", and reported both times growing roughly linearly in `n`
-//! (the O(n) per-entity overhead). We run one entity per OS thread over
-//! bounded channels and measure the same two quantities with a monotonic
-//! clock.
+//! (the O(n) per-entity overhead). We run one entity per OS thread — over
+//! bounded channels, and over UDP loopback sockets — and measure the same
+//! two quantities with a monotonic clock.
 
 use bytes::Bytes;
-use co_transport::{Cluster, ClusterOptions, NodeReport, UdpCluster, UdpOptions};
+use co_protocol::CoCore;
+use co_transport::{Cluster, ClusterOptions, TimingSummary, TransportError};
 use std::time::Duration;
 
 use crate::table::Table;
 
 /// Runs the sweep. `quick` shrinks the cluster sizes and message count.
 pub fn run(quick: bool) -> Vec<Table> {
-    let sizes: Vec<usize> = if quick {
-        vec![2, 4]
+    let sizes: &[usize] = if quick {
+        &[2, 4]
     } else {
-        vec![2, 3, 4, 5, 6, 8, 10, 12]
+        &[2, 3, 4, 5, 6, 8, 10, 12]
     };
-    let messages = if quick { 40 } else { 200 };
+    let table = sweep(
+        "Figure 8: processing time (Tco) and delay (Tap) vs number of entities",
+        sizes,
+        if quick { 40 } else { 200 },
+        Cluster::start,
+    );
+    // The same stack over real UDP loopback sockets (smaller sizes: each
+    // entity is a socket and two threads).
+    let udp_sizes: &[usize] = if quick { &[2] } else { &[2, 3, 4, 6, 8] };
+    let udp_table = sweep(
+        "Figure 8 over UDP loopback (real datagrams)",
+        udp_sizes,
+        if quick { 20 } else { 100 },
+        Cluster::start_udp::<CoCore>,
+    );
+    vec![table, udp_table]
+}
+
+/// One row per cluster size: every entity submits `messages` payloads
+/// ("file transfer" workload) to a cluster `start` brings up, and Tco/Tap
+/// are summarized over all nodes.
+fn sweep(
+    title: &str,
+    sizes: &[usize],
+    messages: usize,
+    start: fn(usize, ClusterOptions) -> Result<Cluster, TransportError>,
+) -> Table {
     let headers = [
         "n",
         "Tco mean [µs]",
@@ -30,91 +57,34 @@ pub fn run(quick: bool) -> Vec<Table> {
         "Tap p95 [ms]",
         "pdus processed",
     ];
-    let mut table = Table::new(
-        "Figure 8: processing time (Tco) and delay (Tap) vs number of entities",
-        &headers,
-    );
-    for &n in &sizes {
-        let (tco_mean, tco_p95, tap_mean, tap_p95, processed) = measure(n, messages);
+    let mut table = Table::new(title, &headers);
+    for &n in sizes {
+        let cluster = start(n, ClusterOptions::default()).expect("cluster start");
+        for k in 0..messages {
+            for i in 0..n {
+                cluster
+                    .submit(i, Bytes::from(format!("m{k}").into_bytes()))
+                    .expect("submit");
+            }
+            // Pace submissions so the run is not a single burst.
+            if k % 16 == 15 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        let reports = cluster.shutdown();
+        let tco: Vec<Duration> = reports.iter().flat_map(|r| r.tco_samples.clone()).collect();
+        let tap: Vec<Duration> = reports.iter().flat_map(|r| r.tap_samples.clone()).collect();
+        let (tco, tap) = (TimingSummary::of(&tco), TimingSummary::of(&tap));
         table.push(vec![
             n.to_string(),
-            format!("{:.1}", tco_mean.as_secs_f64() * 1e6),
-            format!("{:.1}", tco_p95.as_secs_f64() * 1e6),
-            format!("{:.3}", tap_mean.as_secs_f64() * 1e3),
-            format!("{:.3}", tap_p95.as_secs_f64() * 1e3),
-            processed.to_string(),
+            format!("{:.1}", tco.mean.as_secs_f64() * 1e6),
+            format!("{:.1}", tco.p95.as_secs_f64() * 1e6),
+            format!("{:.3}", tap.mean.as_secs_f64() * 1e3),
+            format!("{:.3}", tap.p95.as_secs_f64() * 1e3),
+            tco.count.to_string(),
         ]);
     }
-
-    // Same sweep over real UDP loopback sockets (smaller sizes: each
-    // entity is a socket + thread).
-    let udp_sizes: Vec<usize> = if quick { vec![2] } else { vec![2, 3, 4, 6, 8] };
-    let udp_messages = if quick { 20 } else { 100 };
-    let mut udp_table = Table::new("Figure 8 over UDP loopback (real datagrams)", &headers);
-    for &n in &udp_sizes {
-        let (tco_mean, tco_p95, tap_mean, tap_p95, processed) = measure_udp(n, udp_messages);
-        udp_table.push(vec![
-            n.to_string(),
-            format!("{:.1}", tco_mean.as_secs_f64() * 1e6),
-            format!("{:.1}", tco_p95.as_secs_f64() * 1e6),
-            format!("{:.3}", tap_mean.as_secs_f64() * 1e3),
-            format!("{:.3}", tap_p95.as_secs_f64() * 1e3),
-            processed.to_string(),
-        ]);
-    }
-    vec![table, udp_table]
-}
-
-fn summarize(reports: &[NodeReport]) -> (Duration, Duration, Duration, Duration, usize) {
-    let mut tco: Vec<Duration> = Vec::new();
-    let mut tap: Vec<Duration> = Vec::new();
-    for r in reports {
-        tco.extend_from_slice(&r.tco_samples);
-        tap.extend_from_slice(&r.tap_samples);
-    }
-    let tco_summary = co_transport::TimingSummary::of(&tco);
-    let tap_summary = co_transport::TimingSummary::of(&tap);
-    (
-        tco_summary.mean,
-        tco_summary.p95,
-        tap_summary.mean,
-        tap_summary.p95,
-        tco.len(),
-    )
-}
-
-/// Wall-clock measurement over real UDP loopback sockets.
-pub fn measure_udp(n: usize, messages: usize) -> (Duration, Duration, Duration, Duration, usize) {
-    let cluster = UdpCluster::start(n, UdpOptions::default()).expect("udp cluster start");
-    for k in 0..messages {
-        for i in 0..n {
-            cluster
-                .submit(i, Bytes::from(format!("m{k}").into_bytes()))
-                .expect("submit");
-        }
-        if k % 16 == 15 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-    summarize(&cluster.shutdown())
-}
-
-/// One wall-clock measurement at cluster size `n`; every entity submits
-/// `messages` payloads ("file transfer" workload).
-pub fn measure(n: usize, messages: usize) -> (Duration, Duration, Duration, Duration, usize) {
-    let cluster = Cluster::start(n, ClusterOptions::default()).expect("cluster start");
-    for k in 0..messages {
-        for i in 0..n {
-            cluster
-                .submit(i, Bytes::from(format!("m{k}").into_bytes()))
-                .expect("submit");
-        }
-        // Pace submissions so the run is not a single burst.
-        if k % 16 == 15 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-    summarize(&cluster.shutdown())
+    table
 }
 
 #[cfg(test)]

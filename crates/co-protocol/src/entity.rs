@@ -307,19 +307,6 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
         Ok(())
     }
 
-    /// Feeds a PDU received from the network.
-    ///
-    /// # Errors
-    ///
-    /// Hard validation failures only ([`ProtocolError`]); duplicates,
-    /// gaps and stale information are handled internally.
-    #[deprecated(note = "use `on_pdu` with a `Vec<Action>` (or any `ActionSink`) instead")]
-    pub fn on_pdu_actions(&mut self, pdu: Pdu, now_us: u64) -> Result<Vec<Action>, ProtocolError> {
-        let mut actions = Vec::new();
-        self.on_pdu(pdu, now_us, &mut actions)?;
-        Ok(actions)
-    }
-
     /// Feeds a *batch* of PDUs received from the network in arrival order,
     /// streaming the resulting actions into `sink`.
     ///
@@ -380,18 +367,6 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
             self.fifo.end_batch(&mut self.core, out);
         }
         outcome
-    }
-
-    /// Feeds a batch of PDUs, collecting the actions into a fresh vector.
-    #[deprecated(note = "use `on_pdus_into` with a `Vec<Action>` (or any `ActionSink`) instead")]
-    pub fn accept_batch(
-        &mut self,
-        pdus: impl IntoIterator<Item = Pdu>,
-        now_us: u64,
-    ) -> (Vec<Action>, BatchOutcome) {
-        let mut actions = Vec::new();
-        let outcome = self.on_pdus_into(pdus, now_us, &mut actions);
-        (actions, outcome)
     }
 
     /// Advances the entity's notion of time: fires the deferred-

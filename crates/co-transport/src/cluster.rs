@@ -1,41 +1,29 @@
-//! Cluster lifecycle: spawn threads, submit payloads, collect reports.
+//! Cluster lifecycle: spawn one node thread per entity on a channel mesh
+//! or on UDP loopback sockets, submit payloads, collect reports.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use causal_order::EntityId;
-use co_observe::{EventLog, FlightRecorder, LatencyTracker, Tee, DEFAULT_RECORDER_DEPTH};
-use co_protocol::{CoCore, Config, DeferralPolicy, DeliveryCore, Entity};
+use co_observe::{
+    EventLog, FlightRecorder, LatencyTracker, RecorderDump, Tee, TraceLine, DEFAULT_RECORDER_DEPTH,
+};
+use co_protocol::{CoCore, Config, ConfigError, DeferralPolicy, Delivery, DeliveryCore, Entity};
 use co_trace::LiveDetector;
-use crossbeam::channel::{bounded, unbounded, Sender};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::net::{SocketAddr, UdpSocket};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::node::{frame_payload, Cmd, NodeRuntime};
+use crate::node::{Commands, Host, Inbox, Link, Node};
 use crate::report::NodeReport;
 
 /// Options for a real-time cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
-    /// Bounded inbound-channel capacity per node (the NIC buffer, in PDUs).
+    /// Bounded inbox capacity per node (the NIC buffer, in PDUs).
     pub inbox_capacity: usize,
     /// Deferred-confirmation policy for all entities.
     pub deferral: DeferralPolicy,
     /// Flow-condition window `W`.
     pub window: u64,
-    /// Interval between engine ticks on each node thread.
-    pub tick_interval: Duration,
-    /// Artificial extra per-PDU processing cost (zero = none).
-    pub proc_delay: Duration,
-    /// Artificial per-copy egress serialization cost (zero = none). The
-    /// real-time parity knob for `mc-net`'s `BandwidthModel::Shared`: a
-    /// broadcast of `k` copies holds the sender's thread for `k × pace`,
-    /// so checker findings under the `contended` preset can be reproduced
-    /// on the threaded transport. E.g. a 64-byte PDU on a 2 MB/s NIC is
-    /// ~32µs of pace.
-    pub egress_pace: Duration,
-    /// How long nodes keep draining after shutdown before reporting.
-    pub drain_idle: Duration,
     /// Cluster id stamped on PDUs.
     pub cid: u32,
     /// Record the full structured event trace (plus host-Tco lines) in
@@ -61,15 +49,25 @@ impl Default for ClusterOptions {
             inbox_capacity: 4096,
             deferral: DeferralPolicy::Deferred { timeout_us: 2_000 },
             window: 64,
-            tick_interval: Duration::from_micros(500),
-            proc_delay: Duration::ZERO,
-            egress_pace: Duration::ZERO,
-            drain_idle: Duration::from_millis(30),
             cid: 1,
             trace: false,
             drain_batch: 32,
             recorder_depth: DEFAULT_RECORDER_DEPTH,
         }
+    }
+}
+
+impl ClusterOptions {
+    /// The engine configuration these options give entity `me` of `n`.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] if the combination is invalid (e.g. `n < 2`).
+    pub fn config(&self, n: usize, me: EntityId) -> Result<Config, ConfigError> {
+        Config::builder(self.cid, n, me)
+            .deferral(self.deferral)
+            .window(self.window)
+            .build()
     }
 }
 
@@ -89,7 +87,9 @@ pub enum TransportError {
         index: usize,
     },
     /// Configuration was rejected by the protocol engine.
-    BadConfig(co_protocol::ConfigError),
+    BadConfig(ConfigError),
+    /// A loopback socket could not be bound or prepared.
+    Socket(std::io::Error),
 }
 
 impl std::fmt::Display for TransportError {
@@ -102,6 +102,7 @@ impl std::fmt::Display for TransportError {
                 write!(f, "node thread {index} is no longer running")
             }
             TransportError::BadConfig(e) => write!(f, "bad configuration: {e}"),
+            TransportError::Socket(e) => write!(f, "socket setup failed: {e}"),
         }
     }
 }
@@ -110,18 +111,137 @@ impl std::error::Error for TransportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TransportError::BadConfig(e) => Some(e),
+            TransportError::Socket(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// The observer every cluster entity runs with: latency histograms always
+/// (cheap, bounded state), a flight-recorder ring of the most recent
+/// events plus the node-scope anomaly detectors (both bounded: the ring by
+/// its depth, the detectors by the PDUs the entity itself holds), and a
+/// full event log only when tracing is on.
+type NodeObserver = Tee<LatencyTracker, Tee<Option<EventLog>, Tee<FlightRecorder, LiveDetector>>>;
+
+/// Frames `payload` with the submit timestamp (µs since epoch) so the
+/// delivering node can compute Tap.
+fn frame_payload(epoch: Instant, payload: &[u8]) -> Bytes {
+    let mut framed = BytesMut::with_capacity(8 + payload.len());
+    framed.put_u64(epoch.elapsed().as_micros() as u64);
+    framed.put_slice(payload);
+    framed.freeze()
+}
+
+/// Splits a framed payload back into (submit-µs, payload).
+fn unframe_payload(data: &Bytes) -> Option<(u64, Bytes)> {
+    let ts = data.get(..8)?.try_into().ok()?;
+    Some((u64::from_be_bytes(ts), data.slice(8..)))
+}
+
+/// What a cluster node keeps of its outputs: the measurement half of a
+/// [`NodeReport`].
+struct Recording {
+    me: EntityId,
+    /// Whether to record a host-Tco trace line per frame.
+    trace: bool,
+    delivered: Vec<(EntityId, u64, Bytes)>,
+    tco_samples: Vec<Duration>,
+    tap_samples: Vec<Duration>,
+    host_tco: Vec<TraceLine>,
+}
+
+impl<C: DeliveryCore> Host<C, NodeObserver> for Recording {
+    fn deliver(&mut self, d: Delivery, now_us: u64) {
+        let payload = match unframe_payload(&d.data) {
+            Some((sent_us, payload)) => {
+                if d.src != self.me {
+                    self.tap_samples
+                        .push(Duration::from_micros(now_us.saturating_sub(sent_us)));
+                }
+                payload
+            }
+            None => d.data,
+        };
+        self.delivered.push((d.src, d.seq.get(), payload));
+    }
+
+    /// Tco stays a *per-PDU* cost distribution (the paper's per-PDU host
+    /// cost, and what the offline trace analysis reconstructs): the
+    /// drain's duration is attributed evenly to the frames it covered, one
+    /// sample — and, when tracing, one `HostTco` record, because a host
+    /// measurement cannot be reconstructed from event timestamps — each.
+    fn drained(&mut self, frames: usize, took: Duration, now_us: u64) {
+        let per_frame = took / frames as u32;
+        for _ in 0..frames {
+            self.tco_samples.push(per_frame);
+            if self.trace {
+                self.host_tco.push(TraceLine::HostTco {
+                    node: self.me.raw(),
+                    at_us: now_us,
+                    dur_us: per_frame.as_micros() as u64,
+                });
+            }
+        }
+    }
+}
+
+/// A node thread's body: run the loop, then fold what the node, its
+/// observers and its host hold into the report — also after a panic, so a
+/// crashed node surrenders its black box instead of taking it down with
+/// the thread.
+fn run_node<C: DeliveryCore>(
+    mut node: Node<C, NodeObserver>,
+    trace: bool,
+    network: &'static str,
+) -> NodeReport {
+    let me = node.entity.id();
+    let mut host = Recording {
+        me,
+        trace,
+        delivered: Vec::new(),
+        tco_samples: Vec::new(),
+        tap_samples: Vec::new(),
+        host_tco: Vec::new(),
+    };
+    let panicked = node.run(&mut host).err();
+    let (overrun_drops, metrics) = (node.overrun_drops(), *node.entity.metrics());
+    let Tee(latency, Tee(log, Tee(recorder, live))) = node.entity.into_observer();
+    let mut trace = host.host_tco;
+    if let Some(log) = log {
+        let node = me.raw();
+        let events = log.into_events().into_iter();
+        trace.extend(events.map(|event| TraceLine::Event { node, event }));
+        // Events were appended after the HostTco lines; restore time
+        // order (stable within equal timestamps).
+        trace.sort_by_key(TraceLine::t_us);
+    }
+    NodeReport {
+        id: me,
+        delivered: host.delivered,
+        tco_samples: host.tco_samples,
+        tap_samples: host.tap_samples,
+        overrun_drops,
+        corrupt_frames: node.corrupt_frames,
+        rejected_pdus: node.rejected_pdus,
+        metrics,
+        latency,
+        trace,
+        span_report: None,
+        flight_recorder: RecorderDump::capture(&recorder, me.raw(), C::NAME, network),
+        live_findings: live.findings(),
+        panicked,
     }
 }
 
 /// A running cluster of entity threads.
 #[derive(Debug)]
 pub struct Cluster {
-    cmd_txs: Vec<Sender<Cmd>>,
+    commands: Vec<Commands>,
     threads: Vec<JoinHandle<NodeReport>>,
+    /// The nodes' socket addresses; empty on the channel mesh.
+    addrs: Vec<SocketAddr>,
     epoch: Instant,
-    n: usize,
     trace: bool,
 }
 
@@ -139,95 +259,110 @@ impl Cluster {
 
     /// Spawns a cluster whose entities run the delivery core `C` —
     /// [`CoCore`], [`co_protocol::HybridCore`], [`co_protocol::SenderCore`]
-    /// or any other [`DeliveryCore`]. All nodes share the core type; the
-    /// returned handle is core-erased (reports carry the core's name via
-    /// its metrics, not its type).
+    /// or any other [`DeliveryCore`] — and exchange encoded PDUs over
+    /// bounded channels. All nodes share the core type; the returned
+    /// handle is core-erased (reports carry the core's name in their
+    /// flight-recorder dump, not in their type).
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::start`].
     pub fn start_with_core<C: DeliveryCore>(
         n: usize,
         options: ClusterOptions,
     ) -> Result<Cluster, TransportError> {
+        let inboxes: Vec<_> = (0..n).map(|_| Inbox::new(options.inbox_capacity)).collect();
+        let senders: Vec<Inbox> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
         let epoch = Instant::now();
-        // Wire the full mesh.
-        let mut pdu_txs = Vec::with_capacity(n);
-        let mut pdu_rxs = Vec::with_capacity(n);
-        let mut overruns = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Bytes>(options.inbox_capacity);
-            pdu_txs.push(tx);
-            pdu_rxs.push(rx);
-            overruns.push(Arc::new(AtomicU64::new(0)));
-        }
-        let mut cmd_txs = Vec::with_capacity(n);
-        let mut threads = Vec::with_capacity(n);
-        for (i, pdu_rx) in pdu_rxs.into_iter().enumerate() {
-            let me = EntityId::new(i as u32);
-            let config = Config::builder(options.cid, n, me)
-                .deferral(options.deferral)
-                .window(options.window)
-                .build()
-                .map_err(TransportError::BadConfig)?;
-            let observer = Tee(
-                LatencyTracker::default(),
-                Tee(
-                    options.trace.then(EventLog::default),
-                    Tee(
-                        FlightRecorder::new(options.recorder_depth),
-                        LiveDetector::new(me.raw(), co_trace::AnomalyConfig::default()),
-                    ),
-                ),
-            );
-            let entity = Entity::<C, _>::with_observer(config, observer)
-                .map_err(TransportError::BadConfig)?;
-            let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
-            cmd_txs.push(cmd_tx);
-            let peers: Vec<Option<Sender<Bytes>>> = pdu_txs
-                .iter()
-                .enumerate()
-                .map(|(j, tx)| if j == i { None } else { Some(tx.clone()) })
-                .collect();
-            let peer_overruns: Vec<Option<Arc<AtomicU64>>> = overruns
-                .iter()
-                .enumerate()
-                .map(|(j, c)| if j == i { None } else { Some(Arc::clone(c)) })
-                .collect();
-            let runtime = NodeRuntime {
-                entity,
-                me,
-                trace: options.trace,
-                peers,
-                peer_overruns,
-                pdu_rx,
-                cmd_rx,
-                overruns: Arc::clone(&overruns[i]),
-                epoch,
-                tick_interval: options.tick_interval,
-                proc_delay: options.proc_delay,
-                egress_pace: options.egress_pace,
-                drain_idle: options.drain_idle,
-                drain_batch: options.drain_batch.max(1),
-                ack_pool: co_wire::AckBufPool::new(),
-                frame_scratch: Vec::new(),
-                pdu_scratch: Vec::new(),
-            };
+        let nodes = inboxes.into_iter().enumerate().map(|(i, inbox)| {
+            let mut peers = senders.clone();
+            peers.remove(i);
+            let entity = cluster_entity::<C>(n, i, &options)?;
+            Ok(Node::new(entity, inbox, Link::Mesh(peers), epoch, &options))
+        });
+        let nodes = nodes.collect::<Result<_, _>>()?;
+        let mesh = Vec::new();
+        Ok(Cluster::spawn(
+            nodes,
+            mesh,
+            epoch,
+            options.trace,
+            "threaded",
+        ))
+    }
+
+    /// Like [`Cluster::start_with_core`], but every node owns a UDP socket
+    /// on 127.0.0.1 (OS-assigned port, see [`Cluster::local_addrs`]) and
+    /// PDUs travel as real datagrams.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::start`], plus [`TransportError::Socket`].
+    pub fn start_udp<C: DeliveryCore>(
+        n: usize,
+        options: ClusterOptions,
+    ) -> Result<Cluster, TransportError> {
+        let sockets = (0..n)
+            .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(TransportError::Socket)?;
+        let addrs = sockets
+            .iter()
+            .map(UdpSocket::local_addr)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(TransportError::Socket)?;
+        let epoch = Instant::now();
+        let nodes = sockets.into_iter().enumerate().map(|(i, socket)| {
+            let mut peers = addrs.clone();
+            peers.remove(i);
+            let entity = cluster_entity::<C>(n, i, &options)?;
+            let reader = format!("co-udp-reader-{i}");
+            Node::udp(entity, socket, peers, epoch, &options, reader)
+                .map_err(TransportError::Socket)
+        });
+        let nodes = nodes.collect::<Result<_, _>>()?;
+        Ok(Cluster::spawn(nodes, addrs, epoch, options.trace, "udp"))
+    }
+
+    /// Starts one thread per node, once every node could be built.
+    /// `network` labels the recorder dumps: these transports run on real
+    /// channels or sockets, not an `mc-net` preset.
+    fn spawn<C: DeliveryCore>(
+        nodes: Vec<(Node<C, NodeObserver>, Commands)>,
+        addrs: Vec<SocketAddr>,
+        epoch: Instant,
+        trace: bool,
+        network: &'static str,
+    ) -> Cluster {
+        let mut commands = Vec::new();
+        let mut threads = Vec::new();
+        for (i, (node, handle)) in nodes.into_iter().enumerate() {
+            commands.push(handle);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("co-entity-{i}"))
-                    .spawn(move || runtime.run())
+                    .spawn(move || run_node(node, trace, network))
                     .expect("spawn entity thread"),
             );
         }
-        Ok(Cluster {
-            cmd_txs,
+        Cluster {
+            commands,
             threads,
+            addrs,
             epoch,
-            n,
-            trace: options.trace,
-        })
+            trace,
+        }
     }
 
     /// Cluster size.
     pub fn n(&self) -> usize {
-        self.n
+        self.commands.len()
+    }
+
+    /// The UDP address of each node, indexed by entity; empty for a
+    /// cluster on the channel mesh.
+    pub fn local_addrs(&self) -> &[SocketAddr] {
+        &self.addrs
     }
 
     /// Submits a payload for causally ordered broadcast at entity `index`.
@@ -237,13 +372,16 @@ impl Cluster {
     ///
     /// [`TransportError::NoSuchEntity`] / [`TransportError::NodeGone`].
     pub fn submit(&self, index: usize, payload: Bytes) -> Result<(), TransportError> {
-        let tx = self
-            .cmd_txs
+        let n = self.n();
+        let node = self
+            .commands
             .get(index)
-            .ok_or(TransportError::NoSuchEntity { index, n: self.n })?;
-        let framed = frame_payload(self.epoch, &payload);
-        tx.send(Cmd::Submit(framed))
-            .map_err(|_| TransportError::NodeGone { index })
+            .ok_or(TransportError::NoSuchEntity { index, n })?;
+        if node.submit(frame_payload(self.epoch, &payload)) {
+            Ok(())
+        } else {
+            Err(TransportError::NodeGone { index })
+        }
     }
 
     /// Requests shutdown, waits for every node to drain, and returns the
@@ -251,16 +389,19 @@ impl Cluster {
     /// per-node traces are merged and analyzed once ([`co_trace::analyze`]
     /// with default thresholds), and the resulting cluster-wide
     /// [`co_trace::SpanReport`] is attached to every report.
+    ///
+    /// # Panics
+    ///
+    /// If a node panicked mid-run, after dumping every node's flight
+    /// recorder to stderr.
     pub fn shutdown(self) -> Vec<NodeReport> {
-        for tx in &self.cmd_txs {
-            let _ = tx.send(Cmd::Shutdown);
-        }
+        drop(self.commands);
         let mut reports: Vec<NodeReport> = self
             .threads
             .into_iter()
-            .map(|t| t.join().expect("entity thread panicked"))
+            .map(|t| t.join().expect("entity thread panicked outside its guard"))
             .collect();
-        if reports.iter().any(|r| r.panicked.is_some()) {
+        if let Some(victim) = reports.iter().find(|r| r.panicked.is_some()) {
             // A node crashed mid-run. Dump every node's black box to
             // stderr first — the recorder rings are the only record of
             // the cluster's final transitions — then propagate the
@@ -268,10 +409,6 @@ impl Cluster {
             for r in &reports {
                 eprintln!("{}", r.flight_recorder.to_json().to_compact());
             }
-            let victim = reports
-                .iter()
-                .find(|r| r.panicked.is_some())
-                .expect("checked above");
             panic!(
                 "entity thread {} panicked: {}",
                 victim.id,
@@ -287,6 +424,29 @@ impl Cluster {
         }
         reports
     }
+}
+
+/// Entity `index` of `n` with the cluster's observer stack.
+fn cluster_entity<C: DeliveryCore>(
+    n: usize,
+    index: usize,
+    options: &ClusterOptions,
+) -> Result<Entity<C, NodeObserver>, TransportError> {
+    let me = EntityId::new(index as u32);
+    let observer = Tee(
+        LatencyTracker::default(),
+        Tee(
+            options.trace.then(EventLog::default),
+            Tee(
+                FlightRecorder::new(options.recorder_depth),
+                LiveDetector::new(me.raw(), co_trace::AnomalyConfig::default()),
+            ),
+        ),
+    );
+    options
+        .config(n, me)
+        .and_then(|config| Entity::with_observer(config, observer))
+        .map_err(TransportError::BadConfig)
 }
 
 #[cfg(test)]
@@ -341,29 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn egress_pacing_delays_but_delivers_everything() {
-        // A paced sender serializes its broadcast copies instead of
-        // blasting them: throughput drops, the service does not.
-        let cluster = Cluster::start(
-            3,
-            ClusterOptions {
-                egress_pace: Duration::from_micros(50),
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        for k in 0..6 {
-            cluster
-                .submit(0, Bytes::from(format!("paced-{k}").into_bytes()))
-                .unwrap();
-        }
-        let reports = cluster.shutdown();
-        for r in &reports {
-            assert_eq!(r.delivered.len(), 6, "at {}", r.id);
-        }
-    }
-
-    #[test]
     fn out_of_range_submit_rejected() {
         let cluster = Cluster::start(2, ClusterOptions::default()).unwrap();
         assert!(matches!(
@@ -378,5 +515,63 @@ mod tests {
         let cluster = Cluster::start(2, ClusterOptions::default()).unwrap();
         let reports = cluster.shutdown();
         assert!(reports.iter().all(|r| r.delivered.is_empty()));
+    }
+    #[test]
+    fn udp_cluster_delivers_broadcasts() {
+        let cluster = Cluster::start_udp::<CoCore>(3, ClusterOptions::default()).expect("start");
+        for k in 0..5 {
+            for i in 0..3 {
+                cluster
+                    .submit(i, Bytes::from(format!("u{i}-{k}").into_bytes()))
+                    .expect("submit");
+            }
+        }
+        let reports = cluster.shutdown();
+        for r in &reports {
+            assert_eq!(r.delivered.len(), 15, "at {}", r.id);
+        }
+        // Remote deliveries have Tap samples.
+        assert!(!reports[0].tap_samples.is_empty());
+    }
+
+    #[test]
+    fn udp_cluster_fifo_per_sender() {
+        let cluster = Cluster::start_udp::<CoCore>(2, ClusterOptions::default()).expect("start");
+        for k in 0..20 {
+            cluster
+                .submit(0, Bytes::from(format!("{k}").into_bytes()))
+                .expect("submit");
+        }
+        let reports = cluster.shutdown();
+        let seqs: Vec<u64> = reports[1]
+            .delivered
+            .iter()
+            .filter(|(s, _, _)| *s == EntityId::new(0))
+            .map(|&(_, seq, _)| seq)
+            .collect();
+        let expected: Vec<u64> = (1..=20).collect();
+        assert_eq!(seqs, expected);
+    }
+
+    #[test]
+    fn udp_out_of_range_submit_rejected() {
+        let cluster = Cluster::start_udp::<CoCore>(2, ClusterOptions::default()).expect("start");
+        assert!(cluster.submit(9, Bytes::new()).is_err());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn frame_roundtrip() {
+        let framed = frame_payload(Instant::now(), b"payload");
+        let (ts, payload) = unframe_payload(&framed).unwrap();
+        assert_eq!(&payload[..], b"payload");
+        assert!(ts < 1_000_000, "timestamp is fresh");
+        let (_, empty) = unframe_payload(&frame_payload(Instant::now(), b"")).unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn unframe_rejects_short_buffers() {
+        assert!(unframe_payload(&Bytes::from_static(b"short")).is_none());
     }
 }

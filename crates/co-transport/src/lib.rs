@@ -1,13 +1,15 @@
-//! Real-time threaded transport for the CO protocol — the reproduction of
-//! the paper's §5 testbed ("The CO protocol is implemented in a user
-//! process of the Sun SPARC2 workstation", one entity per workstation on an
-//! Ethernet).
+//! Real-time runtime for the CO protocol — the reproduction of the
+//! paper's §5 testbed ("The CO protocol is implemented in a user process of
+//! the Sun SPARC2 workstation", one entity per workstation on an Ethernet).
 //!
-//! Each entity runs on its own OS thread. Peers exchange **encoded** PDUs
-//! (through `co-wire`, so the measured processing cost includes codec work,
-//! as the paper's did) over bounded crossbeam channels: the channel plays
-//! the NIC receive buffer, and a full channel drops the PDU — the MC
-//! service's buffer-overrun loss, on real threads.
+//! Each entity runs on its own OS thread, in the one wall-clock loop of
+//! the repo ([`Node::run`]). Peers exchange **encoded** PDUs (through
+//! `co-wire`, so the measured processing cost includes codec work, as the
+//! paper's did) into each other's bounded inbox — directly over crossbeam
+//! channels ([`Cluster::start_with_core`]) or as UDP datagrams
+//! ([`Cluster::start_udp`], and one process per entity in `co-node`). The
+//! inbox plays the NIC receive buffer, and a full inbox drops the PDU — the
+//! MC service's buffer-overrun loss, on real threads.
 //!
 //! Instrumentation matches Figure 8:
 //!
@@ -38,5 +40,5 @@ mod report;
 mod udp;
 
 pub use cluster::{Cluster, ClusterOptions, TransportError};
+pub use node::{Commands, Host, Node};
 pub use report::{merged_trace, NodeReport, TimingSummary};
-pub use udp::{UdpCluster, UdpOptions};

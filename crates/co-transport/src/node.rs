@@ -1,316 +1,341 @@
-//! The per-entity worker thread.
+//! The real-time node loop: the one place in the repo where a sans-IO
+//! [`Entity`] is driven on a wall clock.
+//!
+//! A [`Node`] is an entity, a bounded inbox of encoded frames (its NIC
+//! receive buffer), a command channel and a [`Link`]. [`Node::run`]
+//! sleeps until a frame, a command or the entity's own next deadline,
+//! whichever comes first — the rule the simulator hosts follow when they
+//! arm a timer at [`Entity::next_deadline`] — so the deferred-confirmation
+//! fallback, heartbeats and `RET` retries fire when they fall due even
+//! while the inbox never runs dry. What the loop cannot decide for its
+//! caller is a [`Host`]: what a delivery and a drain's timing are for.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use causal_order::EntityId;
-use co_observe::{EventLog, FlightRecorder, LatencyTracker, RecorderDump, Tee, TraceLine};
-use co_protocol::{Action, DeliveryCore, Entity, Pdu};
-use co_trace::LiveDetector;
-use crossbeam::channel::{Receiver, Sender, TrySendError};
+use bytes::Bytes;
+use co_observe::Observer;
+use co_protocol::{Action, Delivery, DeliveryCore, Entity, Pdu};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::report::NodeReport;
+use crate::cluster::ClusterOptions;
+use crate::udp::UdpReader;
 
-/// The observer every cluster entity runs with: latency histograms always
-/// (cheap, bounded state), a flight-recorder ring of the most recent
-/// events plus the node-scope anomaly detectors (both bounded: the ring by
-/// its depth, the detectors by the PDUs the entity itself holds), and a
-/// full event log only when tracing is on.
-pub(crate) type NodeObserver =
-    Tee<LatencyTracker, Tee<Option<EventLog>, Tee<FlightRecorder, LiveDetector>>>;
+/// After a shutdown request a node keeps serving its peers until it is
+/// quiescent and has seen no activity for this long. Also the longest the
+/// loop sleeps, so [`Host::turn`] runs at least this often.
+pub(crate) const DRAIN_IDLE: Duration = Duration::from_millis(30);
 
 /// A node that cannot quiesce after a shutdown request (a partitioned
-/// peer, say) exits anyway once idle for this many drain-idle windows.
+/// peer, say) exits anyway once idle for this many drain windows.
 const HARD_EXIT_IDLE_WINDOWS: u32 = 20;
 
-/// The `network` label stamped on threaded-cluster recorder dumps: this
-/// transport runs on real channels, not an `mc-net` preset.
-pub(crate) const NETWORK_LABEL: &str = "threaded";
-
-/// Control-plane commands to a node thread.
 #[derive(Debug)]
-pub(crate) enum Cmd {
-    /// Broadcast this payload (already timestamp-framed by the cluster).
+enum Cmd {
     Submit(Bytes),
-    /// Finish outstanding work, then report and exit.
     Shutdown,
 }
 
-pub(crate) struct NodeRuntime<C: DeliveryCore> {
-    pub entity: Entity<C, NodeObserver>,
-    pub me: EntityId,
-    /// Whether to record host-Tco trace lines and keep the event log.
-    pub trace: bool,
-    /// Encoded-PDU channels to every peer (index = entity index; own slot
-    /// unused).
-    pub peers: Vec<Option<Sender<Bytes>>>,
-    /// Each peer's overrun counter, bumped when its channel is full.
-    pub peer_overruns: Vec<Option<Arc<AtomicU64>>>,
-    pub pdu_rx: Receiver<Bytes>,
-    pub cmd_rx: Receiver<Cmd>,
-    /// Incremented by *senders* when this node's inbound channel was full.
-    pub overruns: Arc<AtomicU64>,
-    pub epoch: Instant,
-    pub tick_interval: Duration,
-    /// Artificial extra per-PDU processing cost (to provoke overruns).
-    pub proc_delay: Duration,
-    /// Artificial per-copy egress serialization cost (zero = none); the
-    /// real-time analogue of `mc-net`'s shared-bandwidth model.
-    pub egress_pace: Duration,
-    /// How long the node keeps draining after a shutdown request.
-    pub drain_idle: Duration,
-    /// Maximum PDUs accepted per inbox drain (≥ 1). Everything already
-    /// queued when the thread wakes is decoded with one warm pool and fed
-    /// to the engine as one batch, so PACK/ACK bookkeeping and the
-    /// confirmation `AckOnly` are paid once per drain instead of once per
-    /// PDU.
-    pub drain_batch: usize,
-    /// Warm ack-vector pool for batched decode.
-    pub ack_pool: co_wire::AckBufPool,
-    /// Reused frame buffer for the inbox drain.
-    pub frame_scratch: Vec<Bytes>,
-    /// Reused decoded-PDU buffer for the inbox drain.
-    pub pdu_scratch: Vec<Pdu>,
-}
+/// The control plane of one running [`Node`]; sending wakes its loop.
+/// Dropping the handle asks the node to finish outstanding work and
+/// return from [`Node::run`].
+#[derive(Debug)]
+pub struct Commands(Sender<Cmd>);
 
-/// Frames `payload` with the submit timestamp (µs since epoch) so the
-/// delivering node can compute Tap.
-pub(crate) fn frame_payload(epoch: Instant, payload: &[u8]) -> Bytes {
-    let mut framed = BytesMut::with_capacity(8 + payload.len());
-    framed.put_u64(epoch.elapsed().as_micros() as u64);
-    framed.put_slice(payload);
-    framed.freeze()
-}
-
-/// Splits a framed payload back into (submit-µs, payload).
-pub(crate) fn unframe_payload(data: &Bytes) -> Option<(u64, Bytes)> {
-    if data.len() < 8 {
-        return None;
+impl Commands {
+    /// Asks the node to broadcast `payload`; `false` if the node is gone.
+    pub fn submit(&self, payload: Bytes) -> bool {
+        self.0.send(Cmd::Submit(payload)).is_ok()
     }
-    let mut ts = [0u8; 8];
-    ts.copy_from_slice(&data[..8]);
-    Some((u64::from_be_bytes(ts), data.slice(8..)))
 }
 
-impl<C: DeliveryCore> NodeRuntime<C> {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+impl Drop for Commands {
+    fn drop(&mut self) {
+        let _ = self.0.send(Cmd::Shutdown);
+    }
+}
+
+/// The producer side of a node's bounded inbox. A full inbox drops the
+/// frame — the MC service's buffer-overrun loss, which the protocol
+/// repairs — and counts it, whichever link the frame arrived on.
+#[derive(Debug, Clone)]
+pub(crate) struct Inbox {
+    tx: Sender<Bytes>,
+    overruns: Arc<AtomicU64>,
+}
+
+impl Inbox {
+    pub(crate) fn new(capacity: usize) -> (Inbox, Receiver<Bytes>) {
+        let (tx, rx) = bounded(capacity);
+        let overruns = Arc::new(AtomicU64::new(0));
+        (Inbox { tx, overruns }, rx)
     }
 
-    fn dispatch(&mut self, actions: Vec<Action>, report: &mut NodeReport) {
-        for action in actions {
+    pub(crate) fn push(&self, frame: Bytes) {
+        if let Err(TrySendError::Full(_)) = self.tx.try_send(frame) {
+            self.overruns.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// How a node's encoded frames reach its peers.
+#[derive(Debug)]
+pub(crate) enum Link {
+    /// Straight into every peer's inbox.
+    Mesh(Vec<Inbox>),
+    /// One datagram per peer. A full socket buffer at the peer drops the
+    /// datagram silently, and send errors are treated the same way. The
+    /// other direction is `_reader`, which feeds the node's own inbox
+    /// from the socket until the node drops.
+    Udp {
+        socket: UdpSocket,
+        peers: Vec<SocketAddr>,
+        _reader: UdpReader,
+    },
+}
+
+/// What a node's surroundings do with its outputs.
+pub trait Host<C: DeliveryCore, O: Observer> {
+    /// A message reached the application, in causal order.
+    fn deliver(&mut self, delivery: Delivery, now_us: u64);
+
+    /// One inbox drain of `frames` frames spent `took` in decode → engine
+    /// → encode → send (the paper's Tco, summed over the drain).
+    fn drained(&mut self, _frames: usize, _took: Duration, _now_us: u64) {}
+
+    /// Once per turn of the loop, at least every 30 ms.
+    fn turn(&mut self, _entity: &Entity<C, O>) {}
+}
+
+/// One entity and the loop that drives it.
+#[derive(Debug)]
+pub struct Node<C: DeliveryCore, O: Observer> {
+    /// The entity, for the host to read once [`Node::run`] has returned.
+    pub entity: Entity<C, O>,
+    /// Frames the wire decoder dropped as corrupt.
+    pub corrupt_frames: u64,
+    /// Well-formed PDUs the entity refused (wrong cluster, looped back,
+    /// malformed vectors).
+    pub rejected_pdus: u64,
+    link: Link,
+    /// Both channels keep a sender here, so neither `select!` arm can turn
+    /// permanently ready through disconnection.
+    own_inbox: Inbox,
+    inbox: Receiver<Bytes>,
+    _own_cmds: Sender<Cmd>,
+    cmds: Receiver<Cmd>,
+    epoch: Instant,
+    /// Frames accepted per inbox drain (≥ 1): everything queued when the
+    /// thread wakes is decoded with one warm pool and fed to the engine as
+    /// one batch, so the confirmation `AckOnly` is paid once per drain.
+    drain_batch: usize,
+    ack_pool: co_wire::AckBufPool,
+    frames: Vec<Bytes>,
+    pdus: Vec<Pdu>,
+    actions: Vec<Action>,
+}
+
+impl<C: DeliveryCore, O: Observer> Node<C, O> {
+    pub(crate) fn new(
+        entity: Entity<C, O>,
+        (own_inbox, inbox): (Inbox, Receiver<Bytes>),
+        link: Link,
+        epoch: Instant,
+        options: &ClusterOptions,
+    ) -> (Node<C, O>, Commands) {
+        let (cmd_tx, cmds) = unbounded();
+        let node = Node {
+            entity,
+            corrupt_frames: 0,
+            rejected_pdus: 0,
+            link,
+            own_inbox,
+            inbox,
+            _own_cmds: cmd_tx.clone(),
+            cmds,
+            epoch,
+            drain_batch: options.drain_batch.max(1),
+            ack_pool: co_wire::AckBufPool::new(),
+            frames: Vec::new(),
+            pdus: Vec::new(),
+            actions: Vec::new(),
+        };
+        (node, Commands(cmd_tx))
+    }
+
+    /// A node on a UDP socket: `peers` receive its frames, and a reader
+    /// thread (named `name`) moves arriving datagrams into an inbox of
+    /// `options.inbox_capacity` frames until the node is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors while preparing `socket` for the reader.
+    pub fn udp(
+        entity: Entity<C, O>,
+        socket: UdpSocket,
+        peers: Vec<SocketAddr>,
+        epoch: Instant,
+        options: &ClusterOptions,
+        name: String,
+    ) -> std::io::Result<(Node<C, O>, Commands)> {
+        let inbox = Inbox::new(options.inbox_capacity);
+        let link = Link::Udp {
+            _reader: UdpReader::spawn(&socket, inbox.0.clone(), name)?,
+            socket,
+            peers,
+        };
+        Ok(Node::new(entity, inbox, link, epoch, options))
+    }
+
+    /// PDUs dropped at this node's full inbox so far.
+    pub fn overrun_drops(&self) -> u64 {
+        self.own_inbox.overruns.load(Ordering::Relaxed)
+    }
+
+    /// Carries out what the engine just asked for; `true` if anything.
+    fn dispatch(&mut self, host: &mut impl Host<C, O>) -> bool {
+        let acted = !self.actions.is_empty();
+        for action in self.actions.drain(..) {
             match action {
                 Action::Broadcast(pdu) => {
                     let encoded = pdu.encode();
-                    let mut copies = 0u32;
-                    for (i, peer) in self.peers.iter().enumerate() {
-                        let Some(tx) = peer else { continue };
-                        debug_assert_ne!(i, self.me.index());
-                        copies += 1;
-                        match tx.try_send(encoded.clone()) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(_)) => {
-                                // Receiver's NIC buffer overran: the PDU is
-                                // lost, exactly like the paper's MC
-                                // service. The protocol will recover it.
-                                if let Some(counter) = &self.peer_overruns[i] {
-                                    counter.fetch_add(1, Ordering::Relaxed);
-                                }
+                    match &self.link {
+                        Link::Mesh(peers) => {
+                            for peer in peers {
+                                peer.push(encoded.clone());
                             }
-                            Err(TrySendError::Disconnected(_)) => {}
                         }
-                    }
-                    if !self.egress_pace.is_zero() && copies > 0 {
-                        // Busy-wait out the NIC serialization time of every
-                        // copy just sent — the shared-egress-link model
-                        // (`mc-net`'s `BandwidthModel::Shared`) in real
-                        // time: a broadcast burst drains at link rate, not
-                        // instantaneously.
-                        let budget = self.egress_pace * copies;
-                        let started = Instant::now();
-                        while started.elapsed() < budget {
-                            std::hint::spin_loop();
+                        Link::Udp { socket, peers, .. } => {
+                            for addr in peers {
+                                let _ = socket.send_to(&encoded, addr);
+                            }
                         }
                     }
                 }
-                Action::Deliver(d) => {
-                    let now = self.now_us();
-                    if let Some((sent_us, payload)) = unframe_payload(&d.data) {
-                        if d.src != self.me {
-                            report
-                                .tap_samples
-                                .push(Duration::from_micros(now.saturating_sub(sent_us)));
-                        }
-                        report.delivered.push((d.src, d.seq.get(), payload));
-                    } else {
-                        report.delivered.push((d.src, d.seq.get(), d.data));
-                    }
-                }
+                Action::Deliver(d) => host.deliver(d, now_us(self.epoch)),
                 // `Action` is #[non_exhaustive].
                 _ => {}
             }
         }
+        acted
     }
 
-    /// Processes one inbox drain: `first` plus everything already queued
-    /// on the channel, up to the configured batch cap, through the
-    /// engine's batched acceptance. One warm decode pool and one
-    /// confirmation epilogue cover the whole batch.
-    fn handle_batch(&mut self, first: Bytes, report: &mut NodeReport) {
+    /// One inbox drain: `first` plus everything already queued, up to the
+    /// batch cap, through the engine's batched acceptance. Corrupt frames
+    /// drop like a bad checksum and mis-addressed PDUs drop inside the
+    /// batch without poisoning it; both are counted.
+    fn drain(&mut self, first: Bytes, host: &mut impl Host<C, O>) {
         let started = Instant::now();
-        let mut frames = std::mem::take(&mut self.frame_scratch);
-        frames.clear();
-        frames.push(first);
-        while frames.len() < self.drain_batch.max(1) {
-            match self.pdu_rx.try_recv() {
-                Ok(raw) => frames.push(raw),
+        self.frames.push(first);
+        while self.frames.len() < self.drain_batch {
+            match self.inbox.try_recv() {
+                Ok(raw) => self.frames.push(raw),
                 Err(_) => break,
             }
         }
-        if !self.proc_delay.is_zero() {
-            // Busy-wait to emulate a host slower than the network (§2.1):
-            // the emulated cost is per PDU, so a batch spins once per
-            // frame drained.
-            let budget = self.proc_delay * frames.len() as u32;
-            while started.elapsed() < budget {
-                std::hint::spin_loop();
-            }
-        }
-        let mut pdus = std::mem::take(&mut self.pdu_scratch);
-        pdus.clear();
-        // Corrupt frames drop, like a bad checksum.
-        Pdu::decode_batch_into(frames.iter().map(|b| &b[..]), &mut self.ack_pool, &mut pdus);
-        let drained = frames.len();
-        frames.clear();
-        self.frame_scratch = frames;
-        let now = self.now_us();
-        let mut actions = Vec::new();
-        // Mis-addressed PDUs drop inside the batch without poisoning it.
-        self.entity.on_pdus_into(pdus.drain(..), now, &mut actions);
-        self.pdu_scratch = pdus;
-        self.dispatch(actions, report);
-        let dur = started.elapsed();
-        // Tco stays a *per-PDU* cost distribution (the paper's per-PDU
-        // host cost, and what the offline trace analysis reconstructs):
-        // attribute the batch duration evenly across the frames it
-        // covered, one sample — and, when tracing, one HostTco record —
-        // per frame.
-        let per_frame = dur / drained as u32;
-        for _ in 0..drained {
-            report.tco_samples.push(per_frame);
-            if self.trace {
-                // Tco is a host measurement (CPU time inside the engine);
-                // it cannot be reconstructed from event timestamps, so it
-                // gets its own trace record.
-                report.trace.push(TraceLine::HostTco {
-                    node: self.me.raw(),
-                    at_us: now,
-                    dur_us: per_frame.as_micros() as u64,
-                });
-            }
-        }
+        let drained = self.frames.len();
+        self.corrupt_frames += Pdu::decode_batch_into(
+            self.frames.iter().map(|b| &b[..]),
+            &mut self.ack_pool,
+            &mut self.pdus,
+        ) as u64;
+        self.frames.clear();
+        let now = now_us(self.epoch);
+        let outcome = self
+            .entity
+            .on_pdus_into(self.pdus.drain(..), now, &mut self.actions);
+        self.rejected_pdus += outcome.rejected as u64;
+        self.dispatch(host);
+        host.drained(drained, started.elapsed(), now);
     }
 
-    pub(crate) fn run(mut self) -> NodeReport {
-        let mut report = NodeReport {
-            id: self.me,
-            delivered: Vec::new(),
-            tco_samples: Vec::new(),
-            tap_samples: Vec::new(),
-            overrun_drops: 0,
-            metrics: co_protocol::Metrics::default(),
-            latency: LatencyTracker::default(),
-            trace: Vec::new(),
-            span_report: None,
-            flight_recorder: RecorderDump::capture(
-                &FlightRecorder::default(),
-                self.me.raw(),
-                C::NAME,
-                NETWORK_LABEL,
-            ),
-            live_findings: Vec::new(),
-            panicked: None,
-        };
-        // The event loop runs under a panic guard so the finalizer below
-        // always executes: a crashed node still surrenders its black box
-        // (flight recorder, live findings, partial measurements) instead
-        // of taking them down with the thread.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.drive(&mut report)));
-        report.overrun_drops = self.overruns.load(Ordering::Relaxed);
-        report.metrics = *self.entity.metrics();
-        let node = self.me.raw();
-        let Tee(latency, Tee(log, Tee(recorder, live))) = self.entity.into_observer();
-        report.latency = latency;
-        report.flight_recorder = RecorderDump::capture(&recorder, node, C::NAME, NETWORK_LABEL);
-        report.live_findings = live.findings();
-        if let Some(log) = log {
-            report.trace.extend(
-                log.into_events()
-                    .into_iter()
-                    .map(|event| TraceLine::Event { node, event }),
-            );
-            // Events were appended after the HostTco lines; restore time
-            // order (stable within equal timestamps).
-            report.trace.sort_by_key(TraceLine::t_us);
-        }
-        if let Err(payload) = outcome {
-            report.panicked = Some(panic_message(payload.as_ref()));
-        }
-        report
+    /// Drives the entity until a shutdown request has been served: the
+    /// node is quiescent and neither received nor sent anything for the
+    /// drain window (30 ms) — or, if it cannot quiesce (a dead peer, say),
+    /// received nothing for twenty of them.
+    ///
+    /// # Errors
+    ///
+    /// The panic message, if the loop panicked: the node and its host keep
+    /// everything recorded up to that point, so a crashed node still
+    /// surrenders its black box.
+    pub fn run(&mut self, host: &mut impl Host<C, O>) -> Result<(), String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.drive(host)))
+            .map_err(|payload| panic_message(payload.as_ref()))
     }
 
-    fn drive(&mut self, report: &mut NodeReport) {
+    fn drive(&mut self, host: &mut impl Host<C, O>) {
         let mut shutting_down = false;
-        let mut last_activity = Instant::now();
+        // Input is a frame or a submit; activity is input or a timer that
+        // had something to send.
+        let mut last_input = Instant::now();
+        let mut last_activity = last_input;
         loop {
-            // Ticks keep deferred confirmations and RET retries moving.
-            crossbeam::channel::select! {
-                recv(self.pdu_rx) -> raw => {
-                    if let Ok(raw) = raw {
-                        self.handle_batch(raw, report);
-                        last_activity = Instant::now();
-                    }
+            let now = now_us(self.epoch);
+            let mut deadline = self.entity.next_deadline(now);
+            if deadline.is_some_and(|due| due <= now) {
+                // Due whichever arm woke the loop, not only after a quiet
+                // interval: traffic must not starve the timers.
+                self.entity.on_tick_with(now, &mut self.actions);
+                if self.dispatch(host) {
+                    last_activity = Instant::now();
                 }
-                recv(self.cmd_rx) -> cmd => {
+                deadline = self.entity.next_deadline(now);
+            }
+            host.turn(&self.entity);
+            let mut wait = DRAIN_IDLE;
+            if shutting_down {
+                // A node that cannot quiesce keeps its heartbeat up, which
+                // is activity: it is given up on by lack of input alone.
+                let left = if self.entity.is_quiescent() {
+                    DRAIN_IDLE.checked_sub(last_activity.elapsed())
+                } else {
+                    (DRAIN_IDLE * HARD_EXIT_IDLE_WINDOWS).checked_sub(last_input.elapsed())
+                };
+                match left {
+                    Some(left) if !left.is_zero() => wait = left,
+                    _ => break,
+                }
+            }
+            if let Some(due) = deadline {
+                wait = wait.min(Duration::from_micros(due.saturating_sub(now)));
+            }
+            let input = crossbeam::channel::select! {
+                recv(self.inbox) -> raw => {
+                    raw.is_ok_and(|raw| {
+                        self.drain(raw, host);
+                        true
+                    })
+                }
+                recv(self.cmds) -> cmd => {
                     match cmd {
-                        Ok(Cmd::Submit(framed)) => {
-                            let now = self.now_us();
-                            match self.entity.submit(framed, now) {
-                                Ok((_outcome, actions)) => self.dispatch(actions, report),
-                                Err(_) => { /* oversized: reported via metrics */ }
-                            }
-                            last_activity = Instant::now();
+                        Ok(Cmd::Submit(payload)) => {
+                            let now = now_us(self.epoch);
+                            // A refused payload (oversized, queue full) is
+                            // counted in the entity's metrics.
+                            let _ = self.entity.submit_with(payload, now, &mut self.actions);
+                            self.dispatch(host);
+                            true
                         }
                         Ok(Cmd::Shutdown) | Err(_) => {
                             shutting_down = true;
+                            false
                         }
                     }
                 }
-                default(self.tick_interval) => {
-                    let now = self.now_us();
-                    let actions = self.entity.on_tick(now);
-                    if !actions.is_empty() {
-                        last_activity = Instant::now();
-                    }
-                    self.dispatch(actions, report);
-                }
-            }
-            if shutting_down
-                && self.entity.is_quiescent()
-                && last_activity.elapsed() >= self.drain_idle
-            {
-                break;
-            }
-            if shutting_down && last_activity.elapsed() >= self.drain_idle * HARD_EXIT_IDLE_WINDOWS
-            {
-                // Hard exit: something (e.g. a partitioned peer) prevents
-                // quiescence; report what we have.
-                break;
+                default(wait) => { false }
+            };
+            if input {
+                last_input = Instant::now();
+                last_activity = last_input;
             }
         }
     }
+}
+
+fn now_us(epoch: Instant) -> u64 {
+    epoch.elapsed().as_micros() as u64
 }
 
 /// Best-effort rendering of a panic payload (the common `&str` / `String`
@@ -328,25 +353,102 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causal_order::{EntityId, Seq};
+    use co_observe::NoopObserver;
+    use co_protocol::{CoCore, DataPdu};
+    use std::sync::atomic::AtomicBool;
 
-    #[test]
-    fn frame_roundtrip() {
-        let epoch = Instant::now();
-        let framed = frame_payload(epoch, b"payload");
-        let (ts, payload) = unframe_payload(&framed).unwrap();
-        assert_eq!(&payload[..], b"payload");
-        assert!(ts < 1_000_000, "timestamp is fresh");
+    /// Publishes the two counters the test watches, once per loop turn.
+    struct Probe {
+        confirmations: Arc<AtomicU64>,
+        rets: Arc<AtomicU64>,
     }
 
-    #[test]
-    fn unframe_rejects_short_buffers() {
-        assert!(unframe_payload(&Bytes::from_static(b"short")).is_none());
+    impl Host<CoCore, NoopObserver> for Probe {
+        fn deliver(&mut self, _: Delivery, _: u64) {}
+
+        fn turn(&mut self, entity: &Entity<CoCore, NoopObserver>) {
+            let m = entity.metrics();
+            self.confirmations
+                .store(m.ack_only_sent(), Ordering::Relaxed);
+            self.rets.store(m.ret_sent(), Ordering::Relaxed);
+        }
     }
 
+    fn data(src: u32, seq: u64, n: usize) -> Bytes {
+        let mut ack = vec![Seq::FIRST; n];
+        ack[src as usize] = Seq::new(seq);
+        Pdu::Data(DataPdu {
+            cid: 1,
+            src: EntityId::new(src),
+            seq: Seq::new(seq),
+            ack,
+            buf: 1 << 20,
+            data: Bytes::from_static(b"x"),
+        })
+        .encode()
+    }
+
+    /// The timers must fire while the inbox never runs dry. E0 of four
+    /// hears a steady in-order stream from E1; E2 never speaks, so "heard
+    /// from everyone" cannot confirm and every confirmation has to come
+    /// from the deferral timeout; E3 leaves a gap once and falls silent,
+    /// so its `RET` can only be repeated by the retry timer. Then the feed
+    /// stops with E0 unable to quiesce, and it must still return.
     #[test]
-    fn frame_empty_payload() {
-        let framed = frame_payload(Instant::now(), b"");
-        let (_, payload) = unframe_payload(&framed).unwrap();
-        assert!(payload.is_empty());
+    fn traffic_does_not_starve_the_timers() {
+        const N: usize = 4;
+        let options = ClusterOptions::default();
+        let config = options.config(N, EntityId::new(0)).unwrap();
+        let (timeout_us, retry_us) = (config.deferral.timeout_us(), config.ret_retry_us);
+        let entity = Entity::<CoCore, _>::with_observer(config, NoopObserver).unwrap();
+        let (own, rx) = Inbox::new(options.inbox_capacity);
+        // The peers' inboxes are never read: E0's frames overrun there.
+        let peers: Vec<_> = (1..N).map(|_| Inbox::new(1)).collect();
+        let link = Link::Mesh(peers.iter().map(|(tx, _)| tx.clone()).collect());
+        let (mut node, commands) =
+            Node::new(entity, (own.clone(), rx), link, Instant::now(), &options);
+        let probe = || Arc::new(AtomicU64::new(0));
+        let (confirmations, rets) = (probe(), probe());
+        let mut host = Probe {
+            confirmations: Arc::clone(&confirmations),
+            rets: Arc::clone(&rets),
+        };
+        let returned = Arc::new(AtomicBool::new(false));
+        let done = Arc::clone(&returned);
+        let thread = std::thread::spawn(move || {
+            let outcome = node.run(&mut host);
+            done.store(true, Ordering::Relaxed);
+            (outcome, node.entity.is_quiescent())
+        });
+
+        own.push(data(3, 1, N));
+        own.push(data(3, 3, N));
+        let started = Instant::now();
+        let mut seq = 0;
+        while started.elapsed() < Duration::from_millis(80) {
+            seq += 1;
+            own.push(data(1, seq, N));
+            std::thread::sleep(Duration::from_micros(250));
+        }
+        let fed_us = started.elapsed().as_micros() as u64;
+        let (confirmations, rets) = (
+            confirmations.load(Ordering::Relaxed),
+            rets.load(Ordering::Relaxed),
+        );
+        assert!(
+            confirmations >= fed_us / (4 * timeout_us),
+            "{confirmations} confirmations in {fed_us} µs of traffic, timeout {timeout_us} µs"
+        );
+        assert!(
+            rets > fed_us / (4 * retry_us),
+            "{rets} RETs in {fed_us} µs of traffic, retry {retry_us} µs"
+        );
+
+        assert!(!returned.load(Ordering::Relaxed), "no shutdown request yet");
+        drop(commands);
+        let (outcome, quiescent) = thread.join().unwrap();
+        assert_eq!(outcome, Ok(()));
+        assert!(!quiescent, "E0 still holds what E2 never confirmed");
     }
 }

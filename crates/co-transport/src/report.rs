@@ -25,8 +25,13 @@ pub struct NodeReport {
     /// Application-to-application delays (the paper's **Tap**), one sample
     /// per delivered *remote* message.
     pub tap_samples: Vec<Duration>,
-    /// PDUs dropped at this node's inbound channel (buffer overrun).
+    /// PDUs dropped at this node's full inbox (buffer overrun).
     pub overrun_drops: u64,
+    /// Frames the wire decoder dropped as corrupt, like a bad checksum.
+    pub corrupt_frames: u64,
+    /// Well-formed PDUs the entity's validation refused (wrong cluster,
+    /// looped back, malformed vectors).
+    pub rejected_pdus: u64,
     /// The protocol engine's own counters.
     pub metrics: Metrics,
     /// Per-stage latency histograms folded live from the entity's event

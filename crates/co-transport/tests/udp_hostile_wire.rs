@@ -1,0 +1,83 @@
+//! A node on a real socket hears from anyone who can reach its port.
+//! Whatever arrives there that is not an honest PDU must be dropped and
+//! counted, and must cost the cluster nothing else.
+
+use bytes::Bytes;
+use causal_order::{EntityId, Seq};
+use co_protocol::{DataPdu, HybridCore, Pdu, SenderCore};
+use co_transport::{Cluster, ClusterOptions};
+use std::net::UdpSocket;
+use std::time::Duration;
+
+/// A data PDU that decodes cleanly, as `src` of a three-entity cluster.
+fn data_pdu(cid: u32, src: u32) -> Bytes {
+    Pdu::Data(DataPdu {
+        cid,
+        src: EntityId::new(src),
+        seq: Seq::FIRST,
+        ack: vec![Seq::FIRST; 3],
+        buf: 64,
+        data: Bytes::from_static(b"forged"),
+    })
+    .encode()
+}
+
+#[test]
+fn hostile_datagrams_are_counted_and_cost_nothing() {
+    const ROUNDS: usize = 8;
+    let options = ClusterOptions::default();
+    let cluster = Cluster::start_udp::<HybridCore>(3, options.clone()).expect("start");
+    let victim = cluster.local_addrs()[1];
+    let stranger = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+    let valid = data_pdu(options.cid, 0);
+    let hostile: [(&str, Bytes); 4] = [
+        ("garbage", Bytes::from_static(&[0xA5; 40])),
+        ("truncated", valid.slice(..valid.len() - 3)),
+        ("wrong cid", data_pdu(options.cid + 1, 0)),
+        ("victim's own src", data_pdu(options.cid, 1)),
+    ];
+    for round in 0..ROUNDS {
+        for i in 0..3 {
+            cluster
+                .submit(i, Bytes::from(format!("{i}:{round}").into_bytes()))
+                .expect("submit");
+        }
+        for (what, datagram) in &hostile {
+            stranger.send_to(datagram, victim).expect(what);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A node that panicked would make `shutdown` panic.
+    let reports = cluster.shutdown();
+    for r in &reports {
+        let got: Vec<(usize, u64)> = r.delivered.iter().map(|d| (d.0.index(), d.1)).collect();
+        for src in 0..3 {
+            let seqs: Vec<u64> = got.iter().filter(|d| d.0 == src).map(|d| d.1).collect();
+            let all: Vec<u64> = (1..=ROUNDS as u64).collect();
+            assert_eq!(seqs, all, "every honest message from {src}, at {}", r.id);
+        }
+        assert_eq!(got.len(), 3 * ROUNDS, "and nothing forged, at {}", r.id);
+        let hit = if r.id.index() == 1 { ROUNDS as u64 } else { 0 };
+        assert_eq!(r.corrupt_frames, 2 * hit, "garbage + truncated at {}", r.id);
+        assert_eq!(r.rejected_pdus, 2 * hit, "wrong cid + own src at {}", r.id);
+        // The socket path carries the observer stack of the channel path.
+        assert_eq!(r.flight_recorder.core, "hybrid");
+        assert_eq!(r.flight_recorder.network, "udp");
+        assert!(!r.flight_recorder.events.is_empty());
+        assert!(r.latency.accept_to_deliver().count() >= ROUNDS as u64);
+    }
+}
+
+#[test]
+fn udp_cluster_runs_the_sender_core() {
+    let cluster = Cluster::start_udp::<SenderCore>(3, ClusterOptions::default()).expect("start");
+    for k in 0..6 {
+        cluster
+            .submit(k % 3, Bytes::from(format!("s{k}").into_bytes()))
+            .expect("submit");
+    }
+    for r in cluster.shutdown() {
+        assert_eq!(r.delivered.len(), 6, "at {}", r.id);
+        assert_eq!(r.flight_recorder.core, "sender");
+    }
+}

@@ -18,7 +18,7 @@ fn main() {
     for k in 0..messages {
         for i in 0..n {
             cluster
-                .submit(i, Bytes::from(format!("payload-{k}")))
+                .submit(i, Bytes::from(format!("payload-{k}").into_bytes()))
                 .expect("submit");
         }
     }

@@ -39,9 +39,11 @@
 //!     })
 //!     .collect();
 //! let mut to_e1 = Vec::new();
+//! let mut actions = Vec::new();
 //! for now in 1..20u64 {
 //!     for pdu in std::mem::take(&mut to_e2) {
-//!         for a in e2.on_pdu_actions(pdu, now)? {
+//!         e2.on_pdu(pdu, now, &mut actions)?;
+//!         for a in actions.drain(..) {
 //!             match a {
 //!                 Action::Broadcast(p) => to_e1.push(p),
 //!                 Action::Deliver(d) => delivered_at.push((2, d.data.clone())),
@@ -50,7 +52,8 @@
 //!         }
 //!     }
 //!     for pdu in std::mem::take(&mut to_e1) {
-//!         for a in e1.on_pdu_actions(pdu, now)? {
+//!         e1.on_pdu(pdu, now, &mut actions)?;
+//!         for a in actions.drain(..) {
 //!             match a {
 //!                 Action::Broadcast(p) => to_e2.push(p),
 //!                 Action::Deliver(d) => delivered_at.push((1, d.data.clone())),

@@ -14,7 +14,7 @@ fn threaded_cluster_delivers_everything_in_fifo_order() {
     for k in 0..messages {
         for i in 0..n {
             cluster
-                .submit(i, Bytes::from(format!("{i}:{k}")))
+                .submit(i, Bytes::from(format!("{i}:{k}").into_bytes()))
                 .expect("submit");
         }
     }
@@ -44,7 +44,7 @@ fn threaded_cluster_preserves_a_causal_chain() {
     for round in 0..rounds {
         let sender = round % n;
         cluster
-            .submit(sender, Bytes::from(format!("round-{round}")))
+            .submit(sender, Bytes::from(format!("round-{round}").into_bytes()))
             .expect("submit");
         // Give the round ample time to reach global delivery before the
         // next (causally dependent) submission.
@@ -75,7 +75,7 @@ fn threaded_cluster_survives_tiny_inboxes() {
     for k in 0..messages {
         for i in 0..n {
             cluster
-                .submit(i, Bytes::from(format!("{i}:{k}")))
+                .submit(i, Bytes::from(format!("{i}:{k}").into_bytes()))
                 .expect("submit");
         }
     }
