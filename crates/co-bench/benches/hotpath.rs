@@ -2,12 +2,10 @@
 //! `BENCH_hotpath.json` (see `results/README.md` for the schema and
 //! `src/bin/hotpath.rs` for the headless runner that writes the file).
 //!
-//! Three claims are guarded:
+//! Four families are measured:
 //!
-//! * `matrix/*` — cached row minima make `row_min` O(1) and `row_mins`
-//!   an O(1) borrow, versus the naive recompute baseline
-//!   ([`co_bench::NaiveKnowledgeMatrix`]) which scans (and, for
-//!   `row_mins`, allocates) on every read;
+//! * `matrix/*` — incrementally maintained row minima: `fold_column`
+//!   pays for the minima it moves, `row_mins` is an O(1) borrow;
 //! * `entity/accept_in_order` — steady-state acceptance of an in-order
 //!   data stream through the sink-based `on_pdu` with a reused action
 //!   vector, the
@@ -24,7 +22,6 @@
 use bytes::Bytes;
 use causal_order::{EntityId, Seq};
 use co_baselines::{BroadcasterNode, CoBroadcaster};
-use co_bench::NaiveKnowledgeMatrix;
 use co_protocol::{Action, Config, DeferralPolicy, Entity, KnowledgeMatrix, Pdu};
 use co_wire::{AckBufPool, DataPdu};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -80,17 +77,6 @@ fn bench_matrix(c: &mut Criterion) {
                 black_box(m.row_min(EntityId::new(0)));
             });
         });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, &n| {
-            let mut m = NaiveKnowledgeMatrix::new(n);
-            let mut vec = vec![Seq::new(5); n];
-            let mut tick = 0u64;
-            b.iter(|| {
-                tick += 1;
-                vec[(tick % n as u64) as usize] = Seq::new(5 + tick / n as u64);
-                m.fold_column(EntityId::new((tick % n as u64) as u32), &vec);
-                black_box(m.row_min(EntityId::new(0)));
-            });
-        });
     }
     group.finish();
 
@@ -101,10 +87,6 @@ fn bench_matrix(c: &mut Criterion) {
     for n in SIZES {
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, &n| {
             let m = KnowledgeMatrix::new(n);
-            b.iter(|| black_box(m.row_mins().len()));
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, &n| {
-            let m = NaiveKnowledgeMatrix::new(n);
             b.iter(|| black_box(m.row_mins().len()));
         });
     }

@@ -39,8 +39,9 @@
 //! all-to-all round workload (ns per *delivered* message), and `mem`
 //! snapshots each engine's resident state bytes at steady state —
 //! O(n²) knowledge structures on the reference and sender cores versus
-//! the hybrid core's O(n) vectors. These rows are informational (no
-//! guard): the ratchet stays pinned to the reference-core rows below.
+//! the hybrid core's O(n) vectors. These rows are informational, with
+//! one exception listed below: the reference core's deliver ÷ accept
+//! ratio at n = 256.
 //!
 //! `--guard` turns the trajectory into a one-way ratchet and exits
 //! non-zero when the run it just appended regresses a guarded metric:
@@ -65,7 +66,11 @@
 //!   of the *same binary* — far more than the ring write costs. The
 //!   ratio is pinned at n = 256 like the absolute ceiling: the smaller
 //!   rows sit at 100–400 ns where timer jitter dominates (their ratios
-//!   are printed for the record, without a verdict).
+//!   are printed for the record, without a verdict);
+//! * `core_matrix/co/deliver/256` must cost at most
+//!   [`DELIVER_256_MAX_ACCEPTS`] × `core_matrix/co/accept/256` of the
+//!   same run — a return to per-event matrix rescans shows as a ratio,
+//!   on any machine.
 //!
 //! Setting `CO_BENCH_GUARD_ACCEPT=1` downgrades guard failures to
 //! warnings for one run — the escape hatch for *intentional* trade-offs
@@ -77,7 +82,6 @@
 use bytes::Bytes;
 use causal_order::{EntityId, Seq};
 use co_baselines::{BroadcasterNode, CoBroadcaster};
-use co_bench::NaiveKnowledgeMatrix;
 use co_observe::{EventLog, FlightRecorder, LatencyTracker, Observer, Tee, DEFAULT_RECORDER_DEPTH};
 use co_protocol::{
     Action, CoCore, Config, DeferralPolicy, DeliveryCore, Entity, HybridCore, KnowledgeMatrix,
@@ -120,6 +124,14 @@ const RECORDER_GUARD_TOLERANCE: f64 = 1.10;
 /// `--guard`: minimum `batch_throughput` speedup (batched over per-PDU
 /// PDUs/s) at n = 256.
 const BATCH_256_MIN_SPEEDUP: f64 = 3.0;
+
+/// `--guard`: `core_matrix/co/deliver/256` may cost at most this many
+/// same-run `core_matrix/co/accept/256`. Delivering a message on the
+/// reference core is a handful of O(n) vector touches, like accepting
+/// one; rescanning the matrices per event instead of per minimum move
+/// put the ratio at 54 (53.7 µs / 0.99 µs), counting lanes at the
+/// minimum puts it near 3.
+const DELIVER_256_MAX_ACCEPTS: f64 = 5.0;
 
 /// Pre-change numbers (seed tree, this machine, release profile): the
 /// denominator of the PR's speedup claim. `(id, n, ns_per_op)`.
@@ -173,6 +185,8 @@ fn time<F: FnMut()>(iters: u64, mut f: F) -> f64 {
 }
 
 /// `(fold_column, row_min, row_mins)` ns/op for the production matrix.
+/// The fold input raises every cell of its lane on every op and moves
+/// about one row minimum per op, so `fold_column` includes that rescan.
 fn bench_matrix(n: usize) -> (f64, f64, f64) {
     let mut m = KnowledgeMatrix::new(n);
     let mut vec = vec![Seq::new(5); n];
@@ -183,35 +197,10 @@ fn bench_matrix(n: usize) -> (f64, f64, f64) {
         vec[(tick % n as u64) as usize] = Seq::new(5 + tick / n as u64);
         black_box(m.fold_column(EntityId::new((tick % n as u64) as u32), &vec));
     });
-    // Folds defer min-cache rescans; one flush resolves them all before
-    // the O(1) read benchmarks (the engine flushes once per PDU/batch).
-    m.flush();
     let row_min = time(iters, || {
         black_box(m.row_min(EntityId::new(0)));
     });
     let row_mins = time(iters, || {
-        black_box(m.row_mins());
-    });
-    (fold, row_min, row_mins)
-}
-
-/// Same three quantities for the naive (seed-design) matrix, re-measured
-/// live so the cached-vs-naive comparison never goes stale.
-fn bench_naive_matrix(n: usize) -> (f64, f64, f64) {
-    let mut m = NaiveKnowledgeMatrix::new(n);
-    let mut vec = vec![Seq::new(5); n];
-    let iters = 1_000_000u64.min(50_000_000 / n as u64);
-    let mut tick = 0u64;
-    let fold = time(iters, || {
-        tick += 1;
-        vec[(tick % n as u64) as usize] = Seq::new(5 + tick / n as u64);
-        m.fold_column(EntityId::new((tick % n as u64) as u32), &vec);
-        black_box(&m);
-    });
-    let row_min = time(iters, || {
-        black_box(m.row_min(EntityId::new(0)));
-    });
-    let row_mins = time(iters.min(200_000_000 / (n * n) as u64), || {
         black_box(m.row_mins());
     });
     (fold, row_min, row_mins)
@@ -670,21 +659,6 @@ fn main() {
             });
             eprintln!("matrix/{op}/{n}: {ns:.1} ns/op");
         }
-        let (nfold, nrow_min, nrow_mins) = bench_naive_matrix(n);
-        for (op, ns) in [
-            ("fold_column", nfold),
-            ("row_min", nrow_min),
-            ("row_mins", nrow_mins),
-        ] {
-            current.push(Entry {
-                id: format!("matrix-naive/{op}/{n}"),
-                n,
-                ns_per_op: ns,
-                throughput_per_s: None,
-                bytes: None,
-            });
-            eprintln!("matrix-naive/{op}/{n}: {ns:.1} ns/op");
-        }
     }
 
     for n in SIZES {
@@ -953,6 +927,28 @@ fn run_guard(existing: &str, current: &[Entry]) -> bool {
             e.ns_per_op
         );
     }
+    // Within-run ordering cost on the reference core: one delivery in
+    // units of one acceptance, so machine speed cancels.
+    let co_row = |op: &str| {
+        current
+            .iter()
+            .find(|e| e.id == format!("core_matrix/co/{op}/256"))
+            .map(|e| e.ns_per_op)
+    };
+    if let (Some(accept), Some(deliver)) = (co_row("accept"), co_row("deliver")) {
+        let ratio = deliver / accept;
+        let verdict = if ratio <= DELIVER_256_MAX_ACCEPTS {
+            "ok"
+        } else {
+            ok = false;
+            "REGRESSED"
+        };
+        eprintln!(
+            "guard core_matrix/co/deliver/256: {deliver:.1} ns vs same-run accept \
+             {accept:.1} ns ({ratio:.2}x, ceiling {DELIVER_256_MAX_ACCEPTS:.1}x) {verdict}"
+        );
+    }
+
     let per_pdu = current
         .iter()
         .find(|e| e.id == "batch_throughput/per_pdu/256")

@@ -9,8 +9,8 @@
 //!   (the O(n) per-PDU processing of Figure 8, as a microbench);
 //! * `e2e_sim` — a complete simulated broadcast round;
 //! * `hotpath` — the regression suite behind `BENCH_hotpath.json`
-//!   (cached vs naive matrix minima, steady-state acceptance, sim
-//!   throughput; see `results/README.md` for the schema).
+//!   (matrix minima, steady-state acceptance, sim throughput; see
+//!   `results/README.md` for the schema).
 
 #![forbid(unsafe_code)]
 
@@ -42,57 +42,5 @@ pub fn data_pdu(src: u32, seq: u64, n: usize, payload: usize) -> DataPdu {
         ack,
         buf: 1 << 20,
         data: Bytes::from(vec![0u8; payload]),
-    }
-}
-
-/// The seed's knowledge matrix, kept verbatim as the `hotpath` bench
-/// baseline: plain cells with **recompute-on-read** row minima (`row_min`
-/// scans a row, `row_mins` allocates and scans the whole matrix). The
-/// production [`co_protocol::KnowledgeMatrix`] caches its minima instead;
-/// benching both quantifies what the cache buys.
-#[derive(Debug, Clone)]
-pub struct NaiveKnowledgeMatrix {
-    n: usize,
-    cells: Vec<Seq>,
-}
-
-impl NaiveKnowledgeMatrix {
-    /// An `n × n` matrix with every entry at [`Seq::FIRST`].
-    pub fn new(n: usize) -> Self {
-        NaiveKnowledgeMatrix {
-            n,
-            cells: vec![Seq::FIRST; n * n],
-        }
-    }
-
-    /// Monotonic single-cell update.
-    pub fn raise(&mut self, source: EntityId, observer: EntityId, value: Seq) -> bool {
-        let cell = &mut self.cells[source.index() * self.n + observer.index()];
-        if value > *cell {
-            *cell = value;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Folds a confirmation vector into `observer`'s column.
-    pub fn fold_column(&mut self, observer: EntityId, confirmed: &[Seq]) {
-        for (k, &value) in confirmed.iter().enumerate().take(self.n) {
-            self.raise(EntityId::new(k as u32), observer, value);
-        }
-    }
-
-    /// Row minimum, recomputed by scanning the row — O(n) per read.
-    pub fn row_min(&self, source: EntityId) -> Seq {
-        let row = &self.cells[source.index() * self.n..(source.index() + 1) * self.n];
-        row.iter().copied().min().expect("n >= 1")
-    }
-
-    /// All row minima — allocates and scans the full matrix, O(n²).
-    pub fn row_mins(&self) -> Vec<Seq> {
-        (0..self.n)
-            .map(|k| self.row_min(EntityId::new(k as u32)))
-            .collect()
     }
 }

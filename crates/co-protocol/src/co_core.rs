@@ -116,6 +116,8 @@ impl DeliveryCore for CoCore {
         ConfigError::check_len("pal", state.pal.len(), n * n)?;
         ConfigError::check_len("rrl", state.rrl.len(), n)?;
         let mut e = CoCore::new(config);
+        // Source-major, so each row's minimum moves (and the row is
+        // rescanned) at most once, when its last cell is raised: O(n²).
         for s in 0..n {
             let source = EntityId::new(s as u32);
             for o in 0..n {
@@ -198,9 +200,7 @@ impl DeliveryCore for CoCore {
                     self.pal.raise_rows(&a.acked);
                 }
                 // The sender lags if any of its three vectors trails what
-                // we hold. The n row-min reads want clean caches.
-                self.al.flush();
-                self.pal.flush();
+                // we hold.
                 let req = fifo.frontier();
                 (0..req.len()).any(|j| {
                     let source = EntityId::new(j as u32);
@@ -256,9 +256,7 @@ impl DeliveryCore for CoCore {
         // row minimum. The AL dirty set records exactly those rows, making
         // this scan O(dirty) instead of O(n) per event. The drained rows
         // are sorted so coincident PDUs from different sources enter the
-        // PRL in the same (index) order the full scan used. Draining also
-        // flushes AL, which is what lets the substrate compare
-        // `knowledge_version`s afterwards.
+        // PRL in the same (index) order the full scan used.
         let mut scratch = std::mem::take(&mut self.pack_scratch);
         scratch.clear();
         self.al.drain_dirty_into(&mut scratch);
@@ -302,10 +300,7 @@ impl DeliveryCore for CoCore {
                 "dirty-set PACK missed a packable PDU from source {j}"
             );
         }
-        // ACK action: deliver the PRL prefix that is acknowledged. The
-        // PACK loop's PAL folds deferred their min-cache rescans; resolve
-        // them once here so the per-PDU `minPAL` reads below are O(1).
-        self.pal.flush();
+        // ACK action: deliver the PRL prefix that is acknowledged.
         while matches!(self.prl.top(), Some(top) if top.seq < self.pal.row_min(top.src)) {
             let p = self.prl.dequeue().expect("top checked");
             fifo.deliver(p, out);
@@ -321,16 +316,10 @@ impl DeliveryCore for CoCore {
     /// `packed` is the pre-ack frontier `minAL`, `acked` the
     /// acknowledgment frontier `minPAL`.
     fn confirmation(&mut self, _fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
-        // `row_mins` returns the cached slices, exact only after a flush.
-        self.al.flush();
-        self.pal.flush();
         (self.al.row_mins().to_vec(), self.pal.row_mins().to_vec())
     }
 
-    /// The pre-ack frontier is advertised too. AL versions only reflect
-    /// flushed state; every fold is followed by a [`CoCore::sweep`], whose
-    /// drain resolves deferred row-min changes, so a frontier move cannot
-    /// hide from the advertisement check.
+    /// The pre-ack frontier is advertised too.
     fn knowledge_version(&self) -> u64 {
         self.al.version()
     }
@@ -340,7 +329,8 @@ impl DeliveryCore for CoCore {
     }
 
     fn state_bytes(&self, n: usize) -> usize {
-        // Two n×n matrices plus their row-min caches.
+        // Two n×n matrices, each with its n row minima and n
+        // counts-at-minimum (accounted at one word per row).
         let knowledge = 2 * (n * n + 2 * n) * std::mem::size_of::<Seq>();
         let buffered: usize = (0..n)
             .flat_map(|j| self.rrl.iter_source(EntityId::new(j as u32)))

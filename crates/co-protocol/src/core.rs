@@ -213,9 +213,7 @@ pub trait DeliveryCore: Sized + Send + std::fmt::Debug + 'static {
     fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>);
 
     /// A counter that moves whenever knowledge worth advertising beyond
-    /// the frontier does. Must reflect every fold made so far: a core with
-    /// lazily resolved caches resolves them in [`Self::sweep`], which
-    /// always runs between a fold and the substrate's next comparison.
+    /// the frontier does. Must reflect every fold made so far.
     fn knowledge_version(&self) -> u64 {
         0
     }

@@ -59,9 +59,19 @@
 //! `tests/proptest_protocol.rs` verify the insertion rule over
 //! ⇒-respecting arrival orders and Example 4.1's batch.
 
-use causal_order::{causally_precedes, SeqMeta};
 use co_wire::DataPdu;
 use std::collections::VecDeque;
+
+/// Theorem 4.1's `p ⇒ q`, read off the PDUs' own headers (the same test as
+/// [`causal_order::causally_precedes`], without cloning `ACK` vectors into
+/// [`causal_order::SeqMeta`] views).
+fn precedes(p: &DataPdu, q: &DataPdu) -> bool {
+    if p.src == q.src {
+        p.seq < q.seq
+    } else {
+        p.seq < q.ack_for(p.src)
+    }
+}
 
 /// A causally ordered log of pre-acknowledged PDUs.
 ///
@@ -74,8 +84,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Default)]
 pub struct CausalLog {
     pdus: VecDeque<DataPdu>,
-    /// Cached [`SeqMeta`]s, index-aligned with `pdus`.
-    metas: VecDeque<SeqMeta>,
 }
 
 impl CausalLog {
@@ -91,20 +99,18 @@ impl CausalLog {
     /// `pdu` goes after every element already known to precede it, then
     /// before the first causal successor past that point.
     pub fn insert(&mut self, pdu: DataPdu) -> usize {
-        let meta = pdu.seq_meta();
         let start = self
-            .metas
+            .pdus
             .iter()
-            .rposition(|q| causally_precedes(q, &meta))
+            .rposition(|q| precedes(q, &pdu))
             .map_or(0, |last_pred| last_pred + 1);
         let pos = self
-            .metas
+            .pdus
             .iter()
             .skip(start)
-            .position(|q| causally_precedes(&meta, q))
+            .position(|q| precedes(&pdu, q))
             .map_or(self.pdus.len(), |offset| start + offset);
         self.pdus.insert(pos, pdu);
-        self.metas.insert(pos, meta);
         pos
     }
 
@@ -115,11 +121,7 @@ impl CausalLog {
 
     /// Removes and returns the top element. O(1).
     pub fn dequeue(&mut self) -> Option<DataPdu> {
-        let pdu = self.pdus.pop_front();
-        if pdu.is_some() {
-            self.metas.pop_front();
-        }
-        pdu
+        self.pdus.pop_front()
     }
 
     /// Number of elements.
@@ -140,9 +142,9 @@ impl CausalLog {
     /// Checks the causality-preservation invariant (test/debug helper):
     /// no element causally precedes an earlier one.
     pub fn is_causality_preserved(&self) -> bool {
-        for (i, later) in self.metas.iter().enumerate() {
-            for earlier in self.metas.iter().take(i) {
-                if causally_precedes(later, earlier) {
+        for (i, later) in self.pdus.iter().enumerate() {
+            for earlier in self.pdus.iter().take(i) {
+                if precedes(later, earlier) {
                     return false;
                 }
             }
@@ -187,6 +189,20 @@ mod tests {
 
     fn order(log: &CausalLog) -> Vec<(u32, u64)> {
         log.iter().map(|p| (p.src.raw(), p.seq.get())).collect()
+    }
+
+    #[test]
+    fn precedes_is_theorem_4_1() {
+        let pdus = [a(), b(), c(), d(), e_()];
+        for p in &pdus {
+            for q in &pdus {
+                assert_eq!(
+                    precedes(p, q),
+                    causal_order::causally_precedes(&p.seq_meta(), &q.seq_meta()),
+                    "{p:?} vs {q:?}"
+                );
+            }
+        }
     }
 
     #[test]

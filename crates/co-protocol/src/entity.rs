@@ -283,12 +283,14 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
     /// vectors; everything else is the core's. For [`CoCore`] an in-order
     /// data PDU with no losses and nothing newly packable or deliverable
     /// costs **O(n) with zero heap allocations**: the ACK fold touches one
-    /// matrix column, cached row minima make every `minAL`/`minPAL`
-    /// consultation O(1), the PACK scan visits only sources whose `minAL`
-    /// actually moved (the dirty set), and the stability/advertisement
-    /// checks are O(1) version comparisons. Work beyond that — insertion
-    /// into the causal log, retransmission service, reorder buffering — is
-    /// proportional to the PDUs actually moved, not to the logs' sizes.
+    /// matrix column, every `minAL`/`minPAL` consultation is an O(1) load
+    /// of an exact, incrementally maintained row minimum, the PACK scan
+    /// visits only sources whose `minAL` actually moved (the dirty set),
+    /// and the stability/advertisement checks are O(1) version
+    /// comparisons. Work beyond that is proportional to what actually
+    /// moved, not to the structures' sizes: one O(n) row scan per row
+    /// minimum the PDU moves, insertion into the causal log,
+    /// retransmission service and reorder buffering per PDU handled.
     ///
     /// # Errors
     ///

@@ -21,102 +21,72 @@
 //! protocol performs writes along an observer lane ([`fold_column`] folds
 //! one peer's confirmation vector in) or streams all lanes in source order
 //! ([`raise_rows`] adopts an `AckOnly` frontier), so the hot path walks
-//! word-adjacent memory the CPU can prefetch and auto-vectorize instead of
-//! touching `n` cache lines `n` words apart. At `n = 256` a fold visits
-//! 32 cache lines (2 KiB lane) instead of 256 lines spread over a 512 KiB
-//! matrix — the layout change that recovered the `accept_in_order/256`
-//! regression.
+//! word-adjacent memory the CPU can prefetch instead of touching `n` cache
+//! lines `n` words apart. At `n = 256` a fold visits 32 cache lines (2 KiB
+//! lane) instead of 256 lines spread over a 512 KiB matrix.
 //!
-//! # Cost model: dirty-lane lazy minima
+//! # Cost model: count-at-minimum row minima
 //!
-//! Row minima are cached, and the cache is maintained **lazily** with
-//! lane-granular dirty bits — a bulk mutation never rescans anything, and
-//! never even touches per-row bookkeeping:
+//! PACK and ACK read exactly one thing from a matrix — its row minima — so
+//! each row keeps its minimum (`mins[k]`) **and how many of its cells sit
+//! at it** (`at_min[k]`), both exact after every operation:
 //!
-//! * [`fold_column`] is a pure branchless component-wise max over one lane
-//!   (the same inner loop a cache-less matrix would run) plus a single
-//!   dirty bit set on that lane;
-//! * each row caches its minimum (`mins`) and the lane that held it at the
-//!   last resolution (`holder`). A row's cached minimum is trustworthy
-//!   exactly while its holder lane is clean: folds into *other* lanes
-//!   cannot raise the holder cell, so the minimum provably stands. Only
-//!   `holder[k]` being dirty makes row `k` *possibly stale* — its cached
-//!   minimum is then still a valid lower bound (monotonicity), just maybe
-//!   overtaken;
-//! * [`flush`] re-resolves every possibly-stale row at once, at a point
-//!   the *caller* chooses (the engine flushes once per PDU, batched
-//!   acceptance once per batch), then clears all lane dirt: a handful of
-//!   stale rows get individual strided rescans, while a large batch
-//!   (≥ n/4 rows, as after adopting a far-ahead frontier) is recomputed
-//!   with one *sequential* whole-matrix pass — the same streaming shape as
-//!   the mutations that dirtied it. Rescans pick the new holder from a
-//!   clean lane when one ties for the minimum, so a busy observer folding
-//!   over and over doesn't force wasted rescans of rows whose minimum also
-//!   lives elsewhere;
-//! * [`row_min`] — O(1) for rows with a clean holder, and still *exact*
-//!   for possibly-stale ones (it recomputes on the fly without touching
-//!   the cache), so interleaved reads never require a flush for
-//!   correctness, only for speed. [`row_mins`] returns the cached slice
-//!   and therefore does demand a fully clean matrix (debug-asserted) —
-//!   flush first;
-//! * [`raise`] / [`raise_row`] stay eagerly exact (single-row operations
-//!   where deferral buys nothing); [`raise_rows`] — the batched frontier
-//!   adoption — flushes, then lifts every row in one sequential pass over
-//!   the whole matrix, replacing n strided row walks.
+//! * a mutation that raises a cell which sat at the row minimum decrements
+//!   the row's count; every other raised cell costs nothing beyond the
+//!   write. [`fold_column`] is one sequential walk over the observer's lane
+//!   that only pays for the words that grew (most words of a confirmation
+//!   vector repeat the sender's previous PDU);
+//! * a row is rescanned — minimum *and* count, one strided pass — only when
+//!   its count reaches zero, i.e. exactly when its minimum moves, which is
+//!   exactly when PACK/ACK has work to do. A fold that moves `m` minima
+//!   costs `m` row scans; one that moves none scans nothing;
+//! * [`row_min`] / [`row_mins`] are plain loads, always exact — there is
+//!   no deferred state and nothing for a caller to resolve first;
+//! * [`raise_row`] walks its row anyway and recounts as it goes (the new
+//!   minimum is simply `max(old minimum, value)`); [`raise_rows`] — the
+//!   batched frontier adoption — short-circuits when the minima already
+//!   cover the frontier, and otherwise lifts and recounts every row in one
+//!   sequential pass over the whole matrix.
 //!
 //! Rows whose minimum moved since the last drain are tracked in a
-//! **dirty-source set** ([`drain_dirty_into`], which flushes first),
-//! letting the engine's PACK/ACK sweep visit only sources whose
-//! `minAL`/`minPAL` actually changed instead of all `n` on every event. A
-//! [`version`] counter (bumped on every row-minimum change, at resolution
-//! time) gives callers an O(1) "did any frontier move?" check over flushed
-//! state.
+//! **dirty-source set** ([`drain_dirty_into`]), letting the engine's
+//! PACK/ACK sweep visit only sources whose `minAL`/`minPAL` actually
+//! changed instead of all `n` on every event. A [`version`] counter
+//! (bumped on every row-minimum change) gives callers an O(1) "did any
+//! frontier move?" check.
 //!
 //! [`fold_column`]: KnowledgeMatrix::fold_column
-//! [`raise`]: KnowledgeMatrix::raise
 //! [`raise_row`]: KnowledgeMatrix::raise_row
 //! [`raise_rows`]: KnowledgeMatrix::raise_rows
 //! [`row_min`]: KnowledgeMatrix::row_min
 //! [`row_mins`]: KnowledgeMatrix::row_mins
 //! [`drain_dirty_into`]: KnowledgeMatrix::drain_dirty_into
-//! [`flush`]: KnowledgeMatrix::flush
 //! [`version`]: KnowledgeMatrix::version
 
 use causal_order::{EntityId, Seq};
 
-/// How many possibly-stale rows trigger the sequential whole-matrix
-/// recompute instead of per-row strided rescans (denominator of n).
-const FULL_RESCAN_DIVISOR: usize = 4;
-
 /// A dense `n × n` matrix of sequence-number knowledge with monotonic
-/// updates, lazily cached row minima and dirty-row change tracking.
+/// updates, exact incrementally maintained row minima and dirty-row change
+/// tracking.
 #[derive(Debug, Clone)]
 pub struct KnowledgeMatrix {
     n: usize,
     /// Lane-major: `cells[observer * n + source]`.
     cells: Vec<Seq>,
-    /// Cached row minima, index-aligned with rows (sources). Exact while
-    /// the row's holder lane is clean; a lower bound otherwise.
+    /// Row minima, index-aligned with rows (sources). Always exact.
     mins: Vec<Seq>,
-    /// For each row, the lane (observer) whose cell held the minimum at
-    /// the last resolution. While that lane is clean, no mutation can have
-    /// raised the cell, so the cached minimum provably still stands.
-    holder: Vec<u32>,
-    /// Per-lane dirty bit: set by any fold that changed the lane, cleared
-    /// by [`KnowledgeMatrix::flush`].
-    lane_dirty: Vec<bool>,
-    /// `true` iff any lane-dirty bit is set (the clean fast-path check).
-    any_lane_dirty: bool,
+    /// For each row, how many of its cells equal `mins[k]` (never zero
+    /// between operations: a minimum is attained).
+    at_min: Vec<u32>,
     /// `true` for rows whose minimum changed since the last drain.
     dirty: Vec<bool>,
     /// Queue of dirty row indices (deduplicated through `dirty`).
     dirty_rows: Vec<u32>,
     /// Bumped every time any row minimum changes.
     version: u64,
-    /// Scratch for the sequential whole-matrix rescan (candidate minima).
-    scratch_min: Vec<Seq>,
-    /// Scratch for the sequential whole-matrix rescan (candidate holders).
-    scratch_holder: Vec<u32>,
+    /// Strided row scans performed so far (the work tests' probe).
+    #[cfg(test)]
+    row_scans: u64,
 }
 
 impl KnowledgeMatrix {
@@ -127,14 +97,12 @@ impl KnowledgeMatrix {
             n,
             cells: vec![Seq::FIRST; n * n],
             mins: vec![Seq::FIRST; n],
-            holder: vec![0; n],
-            lane_dirty: vec![false; n],
-            any_lane_dirty: false,
+            at_min: vec![n as u32; n],
             dirty: vec![false; n],
             dirty_rows: Vec::with_capacity(n),
             version: 0,
-            scratch_min: vec![Seq::FIRST; n],
-            scratch_holder: vec![0; n],
+            #[cfg(test)]
+            row_scans: 0,
         }
     }
 
@@ -156,21 +124,21 @@ impl KnowledgeMatrix {
     /// (no-op if the cell is already at least `value`). Returns `true` if
     /// the cell changed.
     ///
-    /// O(1) unless the raised cell was the row's recorded minimum holder,
-    /// in which case that one row is rescanned immediately — unlike
-    /// [`fold_column`](KnowledgeMatrix::fold_column), a single-cell raise
-    /// never defers (there is nothing to batch).
+    /// O(1) unless the raised cell was the last one holding the row's
+    /// minimum, in which case that row is rescanned.
     pub fn raise(&mut self, source: EntityId, observer: EntityId, value: Seq) -> bool {
         let k = source.index();
-        let j = observer.index();
-        let idx = j * self.n + k;
+        let idx = observer.index() * self.n + k;
         let old = self.cells[idx];
         if value <= old {
             return false;
         }
         self.cells[idx] = value;
-        if self.holder[k] == j as u32 {
-            self.rescan_row(k);
+        if old == self.mins[k] {
+            self.at_min[k] -= 1;
+            if self.at_min[k] == 0 {
+                self.rescan_row(k);
+            }
         }
         true
     }
@@ -179,13 +147,9 @@ impl KnowledgeMatrix {
     /// source `k`, `cell[k][observer] = max(cell, vector[k])`. Returns
     /// `true` if anything changed.
     ///
-    /// One sequential, branchless walk over the observer's lane — no row
-    /// bookkeeping at all, just a dirty bit on the lane if anything grew.
-    /// Rows whose minimum lived in this lane are resolved together at the
-    /// next [`flush`] (or exactly, on the fly, by [`row_min`]).
-    ///
-    /// [`flush`]: KnowledgeMatrix::flush
-    /// [`row_min`]: KnowledgeMatrix::row_min
+    /// One sequential walk over the observer's lane that branches on the
+    /// words that grew, then one strided row scan per row whose last
+    /// minimum-holding cell was among them.
     ///
     /// # Panics
     ///
@@ -193,18 +157,32 @@ impl KnowledgeMatrix {
     #[inline]
     pub fn fold_column(&mut self, observer: EntityId, vector: &[Seq]) -> bool {
         assert_eq!(vector.len(), self.n, "confirmation vector length mismatch");
+        let n = self.n;
         let j = observer.index();
-        let lane = &mut self.cells[j * self.n..(j + 1) * self.n];
+        let lane = &mut self.cells[j * n..(j + 1) * n];
+        let row_state = self.mins.iter().zip(self.at_min.iter_mut());
         let mut changed = false;
-        for (cell, &value) in lane.iter_mut().zip(vector) {
+        // Lowest row left without a minimum-holding cell (`n`: none).
+        let mut first_moved = n;
+        for (k, ((cell, &value), (&min, at_min))) in
+            lane.iter_mut().zip(vector).zip(row_state).enumerate()
+        {
             let old = *cell;
-            let grew = value > old;
-            *cell = if grew { value } else { old };
-            changed |= grew;
+            if value > old {
+                *cell = value;
+                changed = true;
+                if old == min {
+                    *at_min -= 1;
+                    if *at_min == 0 {
+                        first_moved = first_moved.min(k);
+                    }
+                }
+            }
         }
-        if changed {
-            self.lane_dirty[j] = true;
-            self.any_lane_dirty = true;
+        for k in first_moved..n {
+            if self.at_min[k] == 0 {
+                self.rescan_row(k);
+            }
         }
         changed
     }
@@ -212,9 +190,9 @@ impl KnowledgeMatrix {
     /// Monotonically raises **every** cell of `source`'s row to at least
     /// `value` (the AckOnly `acked`-adoption rule: the sender asserts all
     /// entities pre-acknowledged `source`'s PDUs below `value`). Returns
-    /// `true` if anything changed. O(n) strided with a direct O(1) min
-    /// update (the new row minimum is simply `max(old minimum, value)`);
-    /// a possibly-stale row is rescanned first so the update stays exact.
+    /// `true` if anything changed. O(1) when `value` does not exceed the
+    /// row minimum; otherwise one strided pass that lifts and recounts (the
+    /// new row minimum is simply `value`).
     ///
     /// To lift many rows at once, prefer [`raise_rows`], which streams the
     /// matrix sequentially instead of striding per row.
@@ -223,50 +201,19 @@ impl KnowledgeMatrix {
     pub fn raise_row(&mut self, source: EntityId, value: Seq) -> bool {
         let k = source.index();
         if value <= self.mins[k] {
-            // Every cell is already >= the row minimum >= value (for a
-            // possibly-stale row the cached minimum is a lower bound, so
-            // this no-op test is still sound).
             return false;
         }
-        if self.lane_dirty[self.holder[k] as usize] {
-            self.rescan_row(k);
-            if value <= self.mins[k] {
-                return false;
-            }
-        }
-        let KnowledgeMatrix {
-            n,
-            cells,
-            lane_dirty,
-            ..
-        } = self;
-        let n = *n;
-        let mut first_eq = u32::MAX;
-        let mut first_clean_eq = u32::MAX;
-        for j in 0..n {
-            let cell = &mut cells[j * n + k];
+        // The cell that held the old minimum is raised to exactly `value`,
+        // and no cell ends below it.
+        let mut count = 0;
+        for cell in self.cells.iter_mut().skip(k).step_by(self.n) {
             if *cell < value {
                 *cell = value;
             }
-            if *cell == value {
-                if first_eq == u32::MAX {
-                    first_eq = j as u32;
-                }
-                if first_clean_eq == u32::MAX && !lane_dirty[j] {
-                    first_clean_eq = j as u32;
-                }
-            }
+            count += u32::from(*cell == value);
         }
-        // value > (exact) old minimum, so the old-min cell was raised to
-        // exactly `value` — some holder candidate must exist.
-        debug_assert_ne!(first_eq, u32::MAX, "new minimum must be attained");
-        self.holder[k] = if first_clean_eq != u32::MAX {
-            first_clean_eq
-        } else {
-            first_eq
-        };
-        self.mins[k] = value;
-        self.note_dirty(k);
+        self.at_min[k] = count;
+        self.set_min(k, value);
         true
     }
 
@@ -274,13 +221,12 @@ impl KnowledgeMatrix {
     /// least `values[k]` for every source at once. Returns `true` if any
     /// row minimum moved.
     ///
-    /// One *sequential* pass over all lanes (plus O(n) pre/post work on
-    /// the cached minima, after a [`flush`]) — the cache-friendly
-    /// replacement for n strided row walks when adopting a full `AckOnly`
-    /// frontier.
+    /// O(n) when the minima already cover `values` (the steady state);
+    /// otherwise one *sequential* pass over all lanes that lifts every cell
+    /// and recounts every row — the cache-friendly replacement for n
+    /// strided row walks when adopting a full `AckOnly` frontier.
     ///
     /// [`raise_row`]: KnowledgeMatrix::raise_row
-    /// [`flush`]: KnowledgeMatrix::flush
     ///
     /// # Panics
     ///
@@ -292,194 +238,87 @@ impl KnowledgeMatrix {
             .zip(&self.mins)
             .all(|(&value, &min)| value <= min)
         {
-            // Sound even with possibly-stale rows: cached minima are
-            // lower bounds.
             return false;
         }
-        self.flush();
         // A row's new minimum is max(old, value): if value exceeds the old
         // minimum, some cell sat at the old minimum and is raised to
         // exactly `value`, and no cell ends below `value`.
-        for (target, (&min, &value)) in self
-            .scratch_min
-            .iter_mut()
-            .zip(self.mins.iter().zip(values))
-        {
-            *target = min.max(value);
+        for (k, &value) in values.iter().enumerate() {
+            if value > self.mins[k] {
+                self.set_min(k, value);
+            }
         }
-        self.scratch_holder.fill(u32::MAX);
-        for (j, lane) in self.cells.chunks_exact_mut(self.n).enumerate() {
-            for (k, cell) in lane.iter_mut().enumerate() {
-                let raised = (*cell).max(values[k]);
+        self.at_min.fill(0);
+        for lane in self.cells.chunks_exact_mut(self.n) {
+            let row_state = self.mins.iter().zip(self.at_min.iter_mut());
+            for ((cell, &value), (&min, at_min)) in lane.iter_mut().zip(values).zip(row_state) {
+                let raised = (*cell).max(value);
                 *cell = raised;
-                if raised == self.scratch_min[k] && self.scratch_holder[k] == u32::MAX {
-                    self.scratch_holder[k] = j as u32;
-                }
+                *at_min += u32::from(raised == min);
             }
         }
-        let mut changed = false;
-        for k in 0..self.n {
-            debug_assert_ne!(self.scratch_holder[k], u32::MAX, "minimum must be attained");
-            self.holder[k] = self.scratch_holder[k];
-            if self.scratch_min[k] > self.mins[k] {
-                self.mins[k] = self.scratch_min[k];
-                self.note_dirty(k);
-                changed = true;
-            }
-        }
-        changed
+        true
     }
 
     /// The row minimum for `source` — the paper's `minAL_k` / `minPAL_k`.
-    /// Always exact: O(1) for a row whose holder lane is clean; a
-    /// possibly-stale row (folds dirtied the lane holding its minimum
-    /// since the last [`flush`]) is recomputed on the fly without touching
-    /// the cache.
-    ///
-    /// [`flush`]: KnowledgeMatrix::flush
+    /// O(1), always exact.
     #[inline]
     pub fn row_min(&self, source: EntityId) -> Seq {
-        let k = source.index();
-        if !self.lane_dirty[self.holder[k] as usize] {
-            return self.mins[k];
-        }
-        (0..self.n)
-            .map(|j| self.cells[j * self.n + k])
-            .min()
-            .expect("n >= 1")
+        self.mins[source.index()]
     }
 
     /// The full vector of row minima (`⟨minAL_1, …, minAL_n⟩`), used as the
     /// pre-ack frontier advertised in `AckOnly` PDUs. O(1),
-    /// allocation-free: returns the cached slice, which is only exact when
-    /// the matrix is clean — call [`flush`] after mutating.
-    ///
-    /// [`flush`]: KnowledgeMatrix::flush
+    /// allocation-free, always exact.
     pub fn row_mins(&self) -> &[Seq] {
-        debug_assert!(!self.any_lane_dirty, "row_mins read without flush()");
         &self.mins
-    }
-
-    /// Re-resolves every possibly-stale row's cached minimum and clears
-    /// all lane dirt: strided per-row rescans while few rows are affected,
-    /// one sequential whole-matrix pass once enough are that striding
-    /// would touch more cache lines than streaming. O(1) when no lane is
-    /// dirty, O(n) when dirty lanes hold no row minima.
-    ///
-    /// Mutating calls leave the cache lazily out of date instead of paying
-    /// for rescans inline ([`fold_column`] in particular is a pure
-    /// streaming walk); the engine flushes once per PDU — or once per
-    /// *batch* — before reading frontiers, which is where the deferral
-    /// pays off.
-    ///
-    /// [`fold_column`]: KnowledgeMatrix::fold_column
-    pub fn flush(&mut self) {
-        if !self.any_lane_dirty {
-            return;
-        }
-        let stale = (0..self.n)
-            .filter(|&k| self.lane_dirty[self.holder[k] as usize])
-            .count();
-        if stale >= self.n.div_ceil(FULL_RESCAN_DIVISOR) {
-            // One sequential pass: candidate minimum and holder per row.
-            self.scratch_min.copy_from_slice(&self.cells[..self.n]);
-            self.scratch_holder.fill(0);
-            for (j, lane) in self.cells[self.n..].chunks_exact(self.n).enumerate() {
-                for (k, &cell) in lane.iter().enumerate() {
-                    if cell < self.scratch_min[k] {
-                        self.scratch_min[k] = cell;
-                        self.scratch_holder[k] = (j + 1) as u32;
-                    }
-                }
-            }
-            for k in 0..self.n {
-                if self.lane_dirty[self.holder[k] as usize] {
-                    self.holder[k] = self.scratch_holder[k];
-                    debug_assert!(self.scratch_min[k] >= self.mins[k], "minima are monotonic");
-                    if self.scratch_min[k] > self.mins[k] {
-                        self.mins[k] = self.scratch_min[k];
-                        self.note_dirty(k);
-                    }
-                }
-            }
-        } else if stale > 0 {
-            for k in 0..self.n {
-                if self.lane_dirty[self.holder[k] as usize] {
-                    self.rescan_row(k);
-                }
-            }
-        }
-        self.lane_dirty.fill(false);
-        self.any_lane_dirty = false;
     }
 
     /// A counter bumped every time any row minimum changes; two equal
     /// versions imply identical [`row_mins`] (minima are monotonic, so no
-    /// ABA). Lets callers compare frontiers in O(1). Reflects *flushed*
-    /// state: mutations whose rescan is still deferred have not bumped it
-    /// yet.
+    /// ABA). Lets callers compare frontiers in O(1).
     ///
     /// [`row_mins`]: KnowledgeMatrix::row_mins
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// Whether any row minimum *may* have changed since the last
-    /// [`drain_dirty_into`](KnowledgeMatrix::drain_dirty_into): resolved
-    /// changes, plus possibly-stale rows whose deferred rescan hasn't run
-    /// yet (those may turn out unchanged — this is a conservative check).
-    pub fn has_dirty(&self) -> bool {
-        !self.dirty_rows.is_empty()
-            || (self.any_lane_dirty
-                && (0..self.n).any(|k| self.lane_dirty[self.holder[k] as usize]))
-    }
-
     /// Moves the indices of rows whose minimum changed since the last drain
     /// into `out` (appended; `out` is *not* cleared) and resets the dirty
-    /// set. Flushes first, so deferred minimum changes are included.
-    /// Allocation-free when `out` has capacity for `n` entries.
+    /// set. Allocation-free when `out` has capacity for `n` entries.
     pub fn drain_dirty_into(&mut self, out: &mut Vec<u32>) {
-        self.flush();
         for &k in &self.dirty_rows {
             self.dirty[k as usize] = false;
         }
         out.append(&mut self.dirty_rows);
     }
 
-    /// Recomputes one row's cached minimum and holder by a strided scan.
-    /// The minimum may turn out unchanged (the raise that triggered the
-    /// rescan only displaced *one* of several minimum-holding cells); the
-    /// row is marked dirty only if it actually moved.
+    /// Recomputes one row's minimum and count by a strided scan. Only
+    /// called once every cell that sat at the old minimum has been raised,
+    /// so the minimum always moves.
     fn rescan_row(&mut self, k: usize) {
+        #[cfg(test)]
+        {
+            self.row_scans += 1;
+        }
         let mut min = self.cells[k];
-        let mut holder = 0u32;
-        for j in 1..self.n {
-            let cell = self.cells[j * self.n + k];
+        let mut count = 0;
+        for &cell in self.cells.iter().skip(k).step_by(self.n) {
             if cell < min {
                 min = cell;
-                holder = j as u32;
+                count = 1;
+            } else {
+                count += u32::from(cell == min);
             }
         }
-        // Prefer a minimum-holding cell in a clean lane, so a busy
-        // observer folding repeatedly doesn't force wasted rescans of rows
-        // whose minimum also lives elsewhere.
-        if self.any_lane_dirty && self.lane_dirty[holder as usize] {
-            for j in 0..self.n {
-                if !self.lane_dirty[j] && self.cells[j * self.n + k] == min {
-                    holder = j as u32;
-                    break;
-                }
-            }
-        }
-        self.holder[k] = holder;
-        debug_assert!(min >= self.mins[k], "minima are monotonic");
-        if min > self.mins[k] {
-            self.mins[k] = min;
-            self.note_dirty(k);
-        }
+        self.at_min[k] = count;
+        debug_assert!(min > self.mins[k], "rescan without a minimum move");
+        self.set_min(k, min);
     }
 
-    fn note_dirty(&mut self, k: usize) {
+    /// Records row `k`'s new (strictly higher) minimum.
+    fn set_min(&mut self, k: usize, min: Seq) {
+        self.mins[k] = min;
         self.version += 1;
         if !self.dirty[k] {
             self.dirty[k] = true;
@@ -489,9 +328,9 @@ impl KnowledgeMatrix {
 }
 
 /// Equality is *knowledge* equality: same cluster size and cells. The
-/// change-tracking bookkeeping (version, dirty set, deferred rescans) is
-/// history-dependent — two matrices reached by reordered commutative folds
-/// must still compare equal.
+/// change-tracking bookkeeping (version, dirty set) is history-dependent —
+/// two matrices reached by reordered commutative folds must still compare
+/// equal.
 impl PartialEq for KnowledgeMatrix {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.cells == other.cells
@@ -539,53 +378,147 @@ mod tests {
             .expect("n >= 1")
     }
 
-    /// Deterministic long-run stress: a quarter-million random
-    /// raise/fold/raise-row/flush operations, cross-checking every cached
-    /// row minimum against a fresh recompute after each one. The proptest
-    /// twin (`tests/proptest_protocol.rs`) explores shapes; this pins a
-    /// deep deterministic trajectory in the plain test suite.
-    #[test]
-    fn stress_cached_minima_stay_exact() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
+    /// Freshly recounted number of cells sitting at the row minimum.
+    fn fresh_count(m: &KnowledgeMatrix, k: u32) -> u32 {
+        let min = fresh_min(m, k);
+        (0..m.n())
+            .filter(|&j| m.get(e(k), e(j as u32)) == min)
+            .count() as u32
+    }
+
+    /// Seeded xorshift, so the model and work tests are deterministic.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        for n in [2usize, 3, 5, 8] {
-            let mut m = KnowledgeMatrix::new(n);
-            for _ in 0..8_000 {
-                match rng() % 5 {
-                    0 => {
-                        let src = e((rng() % n as u64) as u32);
-                        let obs = e((rng() % n as u64) as u32);
-                        m.raise(src, obs, Seq::new(rng() % 64 + 1));
-                    }
-                    1 => {
-                        let obs = e((rng() % n as u64) as u32);
-                        let vector: Vec<Seq> = (0..n).map(|_| Seq::new(rng() % 64 + 1)).collect();
-                        m.fold_column(obs, &vector);
-                    }
-                    2 => {
-                        let src = e((rng() % n as u64) as u32);
-                        m.raise_row(src, Seq::new(rng() % 64 + 1));
-                    }
-                    3 => {
-                        let values: Vec<Seq> = (0..n).map(|_| Seq::new(rng() % 64 + 1)).collect();
-                        m.raise_rows(&values);
-                    }
-                    _ => m.flush(),
-                }
-                for k in 0..n as u32 {
-                    assert_eq!(m.row_min(e(k)), fresh_min(&m, k), "n={n} row {k}");
-                }
+        }
+    }
+
+    /// Applies one random `raise` / `fold_column` / `raise_row` /
+    /// `raise_rows` with values in `1..=span`.
+    fn random_op(m: &mut KnowledgeMatrix, rng: &mut impl FnMut() -> u64, span: u64) {
+        let n = m.n() as u64;
+        match rng() % 4 {
+            0 => {
+                let src = e((rng() % n) as u32);
+                let obs = e((rng() % n) as u32);
+                m.raise(src, obs, Seq::new(rng() % span + 1));
             }
-            m.flush();
-            for k in 0..n as u32 {
-                assert_eq!(m.row_mins()[k as usize], fresh_min(&m, k));
+            1 => {
+                let obs = e((rng() % n) as u32);
+                let vector: Vec<Seq> = (0..n).map(|_| Seq::new(rng() % span + 1)).collect();
+                m.fold_column(obs, &vector);
+            }
+            2 => {
+                let src = e((rng() % n) as u32);
+                m.raise_row(src, Seq::new(rng() % span + 1));
+            }
+            _ => {
+                let values: Vec<Seq> = (0..n).map(|_| Seq::new(rng() % span + 1)).collect();
+                m.raise_rows(&values);
             }
         }
+    }
+
+    /// The model test: random interleavings of all four mutations, checked
+    /// against a from-scratch recomputation after *every* operation — row
+    /// minima, counts at the minimum, the version counter, and (at random
+    /// drain points) the dirty set. The proptest twin
+    /// (`tests/proptest_protocol.rs`) explores shapes; this pins deep
+    /// deterministic trajectories in the plain test suite.
+    #[test]
+    fn model_minima_counts_dirty_set_and_version() {
+        for n in [1usize, 2, 3, 17, 64] {
+            let mut rng = xorshift(0x9E37_79B9_7F4A_7C15 ^ n as u64);
+            let mut m = KnowledgeMatrix::new(n);
+            let mut at_last_drain = m.row_mins().to_vec();
+            let mut drained = Vec::new();
+            for step in 0..(40_000 / n) {
+                let before = m.row_mins().to_vec();
+                let version = m.version();
+                // A slowly widening span keeps minima moving to the end.
+                random_op(&mut m, &mut rng, 8 + step as u64 / 16);
+                for k in 0..n as u32 {
+                    assert_eq!(m.row_min(e(k)), fresh_min(&m, k), "n={n} row {k} min");
+                    assert_eq!(
+                        m.at_min[k as usize],
+                        fresh_count(&m, k),
+                        "n={n} row {k} count"
+                    );
+                }
+                assert_eq!(
+                    m.version() > version,
+                    m.row_mins() != &before[..],
+                    "n={n}: version bumps iff a minimum changed"
+                );
+                if rng() % 4 == 0 {
+                    drained.clear();
+                    m.drain_dirty_into(&mut drained);
+                    drained.sort_unstable();
+                    let moved: Vec<u32> = (0..n as u32)
+                        .filter(|&k| m.row_mins()[k as usize] != at_last_drain[k as usize])
+                        .collect();
+                    assert_eq!(drained, moved, "n={n}: dirty set = rows that moved");
+                    at_last_drain = m.row_mins().to_vec();
+                }
+            }
+        }
+    }
+
+    /// The work bound: rows are scanned only when a minimum moves.
+    #[test]
+    fn row_scans_are_bounded_by_minimum_moves() {
+        let n = 17;
+        let mut m = KnowledgeMatrix::new(n);
+        // Every cell of lanes 1.. grows, yet lane 0 still holds every row
+        // minimum: no minimum moves, so no row is scanned.
+        for j in 1..n as u32 {
+            let vector: Vec<Seq> = (0..n as u64).map(|k| Seq::new(2 + k + j as u64)).collect();
+            assert!(m.fold_column(e(j), &vector));
+        }
+        assert_eq!(m.row_scans, 0, "a fold that moves no minimum scans no row");
+        assert_eq!(m.version(), 0);
+        // Raising the last minimum-holding lane moves all n minima: n scans.
+        m.fold_column(e(0), &vec![Seq::new(2); n]);
+        assert_eq!(m.row_scans, n as u64);
+        // Random traffic: never more scans than minimum moves (`raise_row`
+        // and `raise_rows` move minima without a rescan, hence `<=`).
+        let mut rng = xorshift(7);
+        for step in 0..4_000u64 {
+            random_op(&mut m, &mut rng, 8 + step / 8);
+            assert!(
+                m.row_scans <= m.version(),
+                "{} scans for {} minimum moves",
+                m.row_scans,
+                m.version()
+            );
+        }
+    }
+
+    /// `CoCore::restore` rebuilds a matrix by raising its n² exported
+    /// cells one at a time, source-major. The copy must agree in cells,
+    /// minima and counts, at a rescan per row at most — O(n²) in total.
+    #[test]
+    fn cellwise_restore_is_exact_and_scans_each_row_once() {
+        let n = 17;
+        let mut rng = xorshift(11);
+        let mut original = KnowledgeMatrix::new(n);
+        for _ in 0..500 {
+            random_op(&mut original, &mut rng, 40);
+        }
+        let mut restored = KnowledgeMatrix::new(n);
+        for k in 0..n as u32 {
+            for j in 0..n as u32 {
+                restored.raise(e(k), e(j), original.get(e(k), e(j)));
+            }
+        }
+        assert_eq!(restored, original);
+        assert_eq!(restored.row_mins(), original.row_mins());
+        assert_eq!(restored.at_min, original.at_min);
+        assert!(restored.row_scans <= n as u64, "{}", restored.row_scans);
     }
 
     #[test]
@@ -595,7 +528,7 @@ mod tests {
         assert_eq!(m.row_min(e(1)), Seq::FIRST);
         assert_eq!(m.n(), 3);
         assert_eq!(m.version(), 0);
-        assert!(!m.has_dirty());
+        assert_eq!(m.at_min, vec![3; 3]);
     }
 
     #[test]
@@ -640,27 +573,7 @@ mod tests {
         let mut m = KnowledgeMatrix::new(2);
         m.fold_column(e(0), &seqs(&[4, 7]));
         m.fold_column(e(1), &seqs(&[2, 9]));
-        m.flush();
         assert_eq!(m.row_mins(), &seqs(&[2, 7])[..]);
-    }
-
-    #[test]
-    fn row_min_exact_without_flush() {
-        // Folds defer cache maintenance, but row_min must stay exact even
-        // before any flush (it recomputes possibly-stale rows on the fly).
-        let mut m = KnowledgeMatrix::new(3);
-        m.fold_column(e(0), &seqs(&[4, 3, 5]));
-        m.fold_column(e(1), &seqs(&[2, 6, 5]));
-        m.fold_column(e(2), &seqs(&[3, 3, 2]));
-        for k in 0..3 {
-            assert_eq!(m.row_min(e(k)), fresh_min(&m, k), "row {k}");
-        }
-        // Flushing doesn't change the answer, only the cache.
-        m.flush();
-        for k in 0..3 {
-            assert_eq!(m.row_min(e(k)), fresh_min(&m, k), "row {k}");
-        }
-        assert_eq!(m.row_mins(), &seqs(&[2, 3, 2])[..]);
     }
 
     #[test]
@@ -672,7 +585,7 @@ mod tests {
             (0, 0, 4),
             (0, 1, 2),
             (0, 2, 2), // min now 2 (held twice)
-            (0, 1, 5), // min stays 2 (one holder left)
+            (0, 1, 5), // min stays 2 (one cell still at it)
             (0, 2, 3), // last minimal cell raised → rescan → min 3
             (1, 0, 9),
             (2, 2, 7),
@@ -688,38 +601,18 @@ mod tests {
 
     #[test]
     fn cached_minima_track_folds() {
-        // Folds drive the deferred (flush-time) rescan path; cross-check
-        // the cache against fresh recomputation after every fold+flush,
-        // with enough rows going stale at once to trigger the sequential
-        // full rescan, and interleave unflushed reads to exercise the
-        // on-the-fly path.
+        // Cross-check against fresh recomputation after every fold, with
+        // folds that move several minima at once.
         let n = 8;
         let mut m = KnowledgeMatrix::new(n);
-        let folds: Vec<(u32, Vec<u64>)> = (0..40)
-            .map(|t| {
-                let j = (t * 5 % n as u64) as u32;
-                let vec = (0..n as u64).map(|k| 1 + (t + k * 3) % 17).collect();
-                (j, vec)
-            })
-            .collect();
-        for (i, (j, vec)) in folds.into_iter().enumerate() {
-            m.fold_column(e(j), &seqs(&vec));
-            // Exact before the flush...
-            for row in 0..n as u32 {
-                assert_eq!(m.row_min(e(row)), fresh_min(&m, row), "row {row}");
+        for t in 0..40u64 {
+            let j = (t * 5 % n as u64) as u32;
+            let vector: Vec<u64> = (0..n as u64).map(|k| 1 + (t + k * 3) % 17).collect();
+            m.fold_column(e(j), &seqs(&vector));
+            for (row, &min) in m.row_mins().iter().enumerate() {
+                assert_eq!(min, fresh_min(&m, row as u32), "row {row}");
+                assert_eq!(m.at_min[row], fresh_count(&m, row as u32), "row {row}");
             }
-            // ...and flush every few folds so stale rows accumulate enough
-            // to take the whole-matrix recompute path too.
-            if i % 3 == 0 {
-                m.flush();
-                for row in 0..n as u32 {
-                    assert_eq!(m.row_min(e(row)), fresh_min(&m, row), "row {row}");
-                }
-            }
-        }
-        m.flush();
-        for (row, &min) in m.row_mins().iter().enumerate() {
-            assert_eq!(min, fresh_min(&m, row as u32), "row {row}");
         }
     }
 
@@ -738,19 +631,17 @@ mod tests {
     }
 
     #[test]
-    fn raise_row_resolves_stale_row_first() {
+    fn raise_row_after_folds_sees_the_moved_minimum() {
         let mut m = KnowledgeMatrix::new(2);
-        // Both cells of row 0 grow past the cached minimum of 1 with the
-        // rescans deferred.
+        // Both cells of row 0 grow past the initial minimum of 1.
         m.fold_column(e(0), &seqs(&[5, 1]));
         m.fold_column(e(1), &seqs(&[4, 1]));
-        // True min is 4; raising to 3 must be a no-op despite the stale
-        // cached minimum of 1.
+        // The minimum is 4 by now, so raising to 3 is a no-op.
         assert!(!m.raise_row(e(0), Seq::new(3)));
         assert_eq!(m.row_min(e(0)), Seq::new(4));
         assert!(m.raise_row(e(0), Seq::new(6)));
         assert_eq!(m.row_min(e(0)), Seq::new(6));
-        assert_eq!(m.row_min(e(0)), fresh_min(&m, 0));
+        assert_eq!(m.at_min[0], 2, "both cells lifted to the new minimum");
     }
 
     #[test]
@@ -769,9 +660,8 @@ mod tests {
         }
         assert_eq!(batched.raise_rows(&frontier), changed);
         assert_eq!(batched, one_by_one);
-        batched.flush();
-        one_by_one.flush();
         assert_eq!(batched.row_mins(), one_by_one.row_mins());
+        assert_eq!(batched.at_min, one_by_one.at_min);
         for k in 0..n as u32 {
             assert_eq!(batched.row_min(e(k)), fresh_min(&batched, k));
         }
@@ -797,10 +687,8 @@ mod tests {
         // Raising the other cell moves the min → row 0 dirty, deduplicated.
         m.raise(e(0), e(1), Seq::new(2));
         m.raise(e(0), e(1), Seq::new(3));
-        assert!(m.has_dirty());
         m.drain_dirty_into(&mut dirty);
         assert_eq!(dirty, vec![0]);
-        assert!(!m.has_dirty());
         // Drained: no re-report without a new change.
         dirty.clear();
         m.drain_dirty_into(&mut dirty);
@@ -808,13 +696,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_includes_deferred_min_changes() {
+    fn drain_reports_rows_moved_by_folds() {
         let mut m = KnowledgeMatrix::new(2);
-        // Both cells of row 0 leave the minimum; the rescan is deferred,
-        // but the drain must still report the row (it flushes first).
+        // Both cells of row 0 leave the minimum; row 1 never moves.
         m.fold_column(e(0), &seqs(&[3, 1]));
+        assert_eq!(m.version(), 0, "one cell of row 0 still sits at 1");
         m.fold_column(e(1), &seqs(&[2, 1]));
-        assert!(m.has_dirty(), "deferred min change counts as dirty");
+        assert_eq!(m.version(), 1);
         let mut dirty = Vec::new();
         m.drain_dirty_into(&mut dirty);
         assert_eq!(dirty, vec![0]);

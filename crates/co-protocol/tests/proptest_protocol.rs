@@ -184,17 +184,15 @@ proptest! {
         }
     }
 
-    /// The tentpole invariant: `row_min` must equal a fresh recompute over
-    /// the cells after every mutation — with or without an intervening
-    /// `flush` (folds defer their min-cache rescans; `row_min` resolves
-    /// dirty rows on the fly) — for arbitrary interleavings of `raise`,
-    /// `fold_column`, `raise_row` and `raise_rows`; and after a `flush`
-    /// the cached `row_mins` slice must agree.
+    /// The matrix invariant: `row_min` and the `row_mins` slice must equal
+    /// a fresh recompute over the cells after every mutation, for
+    /// arbitrary interleavings of `raise`, `fold_column`, `raise_row` and
+    /// `raise_rows`.
     #[test]
     fn cached_row_minima_match_fresh_recompute(
         n in 2usize..=6,
         ops in prop::collection::vec(
-            (0u8..4, 0u32..6, 0u32..6, prop::collection::vec(1u64..60, 6), any::<bool>()),
+            (0u8..4, 0u32..6, 0u32..6, prop::collection::vec(1u64..60, 6)),
             1..40,
         ),
     ) {
@@ -205,7 +203,7 @@ proptest! {
                 .expect("n >= 2")
         };
         let mut m = KnowledgeMatrix::new(n);
-        for (kind, src, obs, vals, flush) in ops {
+        for (kind, src, obs, vals) in ops {
             let source = EntityId::new(src % n as u32);
             match kind {
                 0 => {
@@ -225,22 +223,16 @@ proptest! {
                     m.raise_rows(&frontier);
                 }
             }
-            if flush {
-                m.flush();
-            }
             for k in 0..n {
                 let expect = fresh_min(&m, k);
                 prop_assert_eq!(
                     m.row_min(EntityId::new(k as u32)),
                     expect,
-                    "cached min of row {} diverged from cells",
+                    "min of row {} diverged from cells",
                     k
                 );
+                prop_assert_eq!(m.row_mins()[k], expect);
             }
-        }
-        m.flush();
-        for k in 0..n {
-            prop_assert_eq!(m.row_mins()[k], fresh_min(&m, k));
         }
     }
 }

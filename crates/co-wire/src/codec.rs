@@ -343,10 +343,19 @@ impl AckBufPool {
     }
 }
 
+/// Words per `put_slice` when encoding an ack vector.
+const ACK_BLOCK_WORDS: usize = 32;
+
+/// Writes a length-prefixed ack vector, a stack block of words at a time
+/// (one capacity check and cursor advance per block instead of per word).
 fn put_ack(buf: &mut BytesMut, ack: &[Seq]) {
     buf.put_u16(ack.len() as u16);
-    for &a in ack {
-        buf.put_u64(a.get());
+    let mut block = [0u8; 8 * ACK_BLOCK_WORDS];
+    for words in ack.chunks(ACK_BLOCK_WORDS) {
+        for (dst, word) in block.chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&word.get().to_be_bytes());
+        }
+        buf.put_slice(&block[..8 * words.len()]);
     }
 }
 
@@ -390,11 +399,14 @@ fn get_ack_into(cursor: &mut &[u8], out: &mut Vec<Seq>) -> Result<(), DecodeErro
         });
     }
     need(cursor, 8 * len)?;
+    let (words, rest) = cursor.split_at(8 * len);
     out.clear();
-    out.reserve(len);
-    for _ in 0..len {
-        out.push(Seq::new(cursor.get_u64()));
-    }
+    out.extend(
+        words
+            .chunks_exact(8)
+            .map(|word| Seq::new(u64::from_be_bytes(word.try_into().expect("8-byte chunk")))),
+    );
+    *cursor = rest;
     Ok(())
 }
 
@@ -434,6 +446,19 @@ mod tests {
     fn data_roundtrip() {
         let p = sample_data(3);
         assert_eq!(Pdu::decode(&p.encode()).unwrap(), p);
+    }
+
+    #[test]
+    fn roundtrip_across_encode_block_boundaries() {
+        for n in [
+            ACK_BLOCK_WORDS - 1,
+            ACK_BLOCK_WORDS,
+            ACK_BLOCK_WORDS + 1,
+            100,
+        ] {
+            let p = sample_data(n);
+            assert_eq!(Pdu::decode(&p.encode()).unwrap(), p, "n = {n}");
+        }
     }
 
     #[test]
@@ -658,6 +683,70 @@ mod golden {
             b'h', b'i',
         ];
         assert_eq!(p.encode().to_vec(), expected);
+    }
+
+    /// `bytes` with every ack word of `acks` appended big-endian after a
+    /// `u16` length — the golden tests' vector field, spelled out.
+    fn with_ack(mut bytes: Vec<u8>, acks: &[u64]) -> Vec<u8> {
+        bytes.extend_from_slice(&[0x00, acks.len() as u8]);
+        for ack in acks {
+            bytes.extend_from_slice(&[0, 0, 0, 0, 0, 0, (ack >> 8) as u8, *ack as u8]);
+        }
+        bytes
+    }
+
+    /// One golden per PDU kind at n = 3, with distinct multi-byte words, so
+    /// the bulk vector encode/decode is pinned to the per-word layout.
+    #[test]
+    fn golden_bytes_at_n3() {
+        let ids = |v: &[u64]| v.iter().copied().map(Seq::new).collect::<Vec<_>>();
+        let header = |kind: u8| vec![0xC0, 0xBD, 0x01, kind, 0, 0, 0, 7, 0, 0, 0, 2];
+
+        let data = Pdu::Data(DataPdu {
+            cid: 7,
+            src: EntityId::new(2),
+            seq: Seq::new(0x0105),
+            ack: ids(&[0x0201, 0x0302, 0x0403]),
+            buf: 9,
+            data: Bytes::from_static(b"abc"),
+        });
+        let mut expected = header(0);
+        expected.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0x01, 0x05]); // seq
+        expected = with_ack(expected, &[0x0201, 0x0302, 0x0403]);
+        expected.extend_from_slice(&[0, 0, 0, 9, 0, 0, 0, 3, b'a', b'b', b'c']);
+        assert_eq!(data.encode().to_vec(), expected);
+        assert_eq!(Pdu::decode(&expected).unwrap(), data);
+
+        let ret = Pdu::Ret(RetPdu {
+            cid: 7,
+            src: EntityId::new(2),
+            lsrc: EntityId::new(1),
+            lseq: Seq::new(0x0A0B),
+            ack: ids(&[0x0201, 0x0302, 0x0403]),
+            buf: 4,
+        });
+        let mut expected = header(1);
+        expected.extend_from_slice(&[0, 0, 0, 1]); // lsrc
+        expected.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0x0A, 0x0B]); // lseq
+        expected = with_ack(expected, &[0x0201, 0x0302, 0x0403]);
+        expected.extend_from_slice(&[0, 0, 0, 4]);
+        assert_eq!(ret.encode().to_vec(), expected);
+        assert_eq!(Pdu::decode(&expected).unwrap(), ret);
+
+        let ack_only = Pdu::AckOnly(AckOnlyPdu {
+            cid: 7,
+            src: EntityId::new(2),
+            ack: ids(&[0x0201, 0x0302, 0x0403]),
+            packed: ids(&[0x0101, 0x0202, 0x0303]),
+            acked: ids(&[0x0001, 0x0102, 0x0203]),
+            buf: 5,
+        });
+        let mut expected = with_ack(header(2), &[0x0201, 0x0302, 0x0403]);
+        expected = with_ack(expected, &[0x0101, 0x0202, 0x0303]);
+        expected = with_ack(expected, &[0x0001, 0x0102, 0x0203]);
+        expected.extend_from_slice(&[0, 0, 0, 5]);
+        assert_eq!(ack_only.encode().to_vec(), expected);
+        assert_eq!(Pdu::decode(&expected).unwrap(), ack_only);
     }
 
     #[test]
