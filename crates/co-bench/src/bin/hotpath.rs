@@ -43,6 +43,13 @@
 //! one exception listed below: the reference core's deliver ÷ accept
 //! ratio at n = 256.
 //!
+//! The `codec/ack_only/{encode,decode}_w{1,8}/{n}` rows price the wire
+//! codec alone on the PDU that dominates the wire at scale (three
+//! vectors): `w1` is the steady state (every vector's spread under 256,
+//! one byte per entity), `w8` forces the eight-byte fallback arm, which
+//! does what wire v1 did for every vector and must not cost more than
+//! v1's bulk path did. Informational.
+//!
 //! `--guard` turns the trajectory into a one-way ratchet and exits
 //! non-zero when the run it just appended regresses a guarded metric:
 //!
@@ -88,7 +95,7 @@ use co_protocol::{
     NoopObserver, Pdu, SenderCore,
 };
 use co_trace::{AnomalyConfig, LiveDetector};
-use co_wire::{AckBufPool, DataPdu};
+use co_wire::{AckBufPool, AckOnlyPdu, DataPdu};
 use mc_net::{SimConfig, SimTime, Simulator};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -545,6 +552,47 @@ fn bench_batch_throughput(n: usize, total: u64) -> (f64, f64) {
     (per_pdu, batched)
 }
 
+/// `(encode, decode)` ns/PDU for an `AckOnly` at cluster size `n` whose
+/// three vectors each need `width`-byte offsets (1 or 8). Encode is
+/// [`Pdu::encode`] as the transports call it (one allocation per frame);
+/// decode draws from a warm, recycled pool, so it is the codec alone.
+/// Fastest of three passes, like the other rows.
+fn bench_codec_ack_only(n: usize, width: usize) -> (f64, f64) {
+    let vector = |base: u64| {
+        let mut v: Vec<Seq> = (0..n as u64)
+            .map(|i| Seq::new(base + i * 37 % 256))
+            .collect();
+        if width == 8 {
+            v[n - 1] = Seq::new(u64::MAX);
+        }
+        v
+    };
+    let pdu = Pdu::AckOnly(AckOnlyPdu {
+        cid: 1,
+        src: EntityId::new(1),
+        ack: vector(1_000),
+        packed: vector(900),
+        acked: vector(800),
+        buf: 4096,
+    });
+    let raw = pdu.encode();
+    assert_eq!(raw.len(), 16 + 3 * (11 + width * n), "width {width} arm");
+    let iters = 40_000_000 / n as u64;
+    let mut pool = AckBufPool::with_buffers(3, n);
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _pass in 0..3 {
+        let encode = time(iters, || {
+            black_box(black_box(&pdu).encode());
+        });
+        let decode = time(iters, || {
+            let decoded = Pdu::decode_with(black_box(&raw), &mut pool).expect("valid");
+            pool.recycle(black_box(decoded));
+        });
+        best = (best.0.min(encode), best.1.min(decode));
+    }
+    best
+}
+
 /// Full simulated broadcast round; returns delivered messages per second
 /// of wall-clock time.
 fn bench_sim_throughput(n: usize, messages: usize) -> f64 {
@@ -716,6 +764,22 @@ fn main() {
             eprintln!("batch_throughput/{leg}/{n}: {per_s:.0} PDUs/s");
         }
         eprintln!("batch_throughput/speedup/{n}: {:.2}x", batched / per_pdu);
+    }
+
+    for n in [64usize, 256] {
+        for width in [1usize, 8] {
+            let (encode, decode) = bench_codec_ack_only(n, width);
+            for (op, ns) in [("encode", encode), ("decode", decode)] {
+                current.push(Entry {
+                    id: format!("codec/ack_only/{op}_w{width}/{n}"),
+                    n,
+                    ns_per_op: ns,
+                    throughput_per_s: None,
+                    bytes: None,
+                });
+                eprintln!("codec/ack_only/{op}_w{width}/{n}: {ns:.1} ns/PDU");
+            }
+        }
     }
 
     for n in [4usize, 8] {

@@ -465,9 +465,12 @@ impl ReliableFifo {
             return;
         }
         let from = r.ack[self.config.me.index()];
+        // Nothing at or past our own next sequence number was ever sent:
+        // a forged `lseq` must not count as an unservable span.
+        let next = self.next[self.config.me.index()];
         let to = match self.config.retransmission {
-            RetransmissionPolicy::Selective => r.lseq,
-            RetransmissionPolicy::GoBackN => self.next[self.config.me.index()],
+            RetransmissionPolicy::Selective => r.lseq.min(next),
+            RetransmissionPolicy::GoBackN => next,
         };
         let mut served = 0u64;
         for pdu in self.sl.range(from, to) {
@@ -779,6 +782,16 @@ impl ReliableFifo {
         out: &mut Out<'_, O, S>,
     ) {
         let (packed, acked) = core.confirmation(self);
+        // What every core keeps, and all a later delta-from-`ack` encoding
+        // may lean on. `acked ≤ packed` does NOT hold (DESIGN.md, wire format).
+        for (j, ack) in self.next.iter().enumerate() {
+            debug_assert!(
+                packed[j] <= *ack && acked[j] <= *ack,
+                "column {j}: packed {:?} / acked {:?} exceed ack {ack:?}",
+                packed[j],
+                acked[j]
+            );
+        }
         let pdu = AckOnlyPdu {
             cid: self.config.cluster.cid,
             src: self.config.me,

@@ -7,8 +7,8 @@
 use bytes::Bytes;
 use causal_order::{EntityId, Seq};
 use co_protocol::{
-    Action, Config, DeferralPolicy, Delivery, Entity, Pdu, ProtocolError, RetransmissionPolicy,
-    SubmitOutcome,
+    Action, Config, DeferralPolicy, Delivery, Entity, Pdu, ProtocolError, RetPdu,
+    RetransmissionPolicy, SubmitOutcome,
 };
 use std::collections::VecDeque;
 
@@ -411,6 +411,45 @@ fn selective_resends_only_the_gap() {
         net.entity(0).metrics().retransmissions_sent(),
         1,
         "selective retransmission resends exactly the lost PDU"
+    );
+}
+
+#[test]
+fn forged_ret_lseq_is_clamped_to_what_was_sent() {
+    let mut sender = Entity::new(
+        Config::builder(0, 2, EntityId::new(0))
+            .deferral(DeferralPolicy::Immediate)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    for k in 0..3u8 {
+        sender.submit(Bytes::copy_from_slice(&[k]), 0).unwrap();
+    }
+    // Claims to hold seq 1 and asks for everything up to u64::MAX.
+    let forged = Pdu::Ret(RetPdu {
+        cid: 0,
+        src: EntityId::new(1),
+        lsrc: EntityId::new(0),
+        lseq: Seq::new(u64::MAX),
+        ack: vec![Seq::new(2), Seq::FIRST],
+        buf: 64,
+    });
+    let mut out = Vec::new();
+    sender.on_pdu(forged, 10, &mut out).unwrap();
+    let resent: Vec<Seq> = out
+        .iter()
+        .filter_map(|a| match a {
+            Action::Broadcast(Pdu::Data(d)) => Some(d.seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resent, [Seq::new(2), Seq::new(3)], "the send log's tail");
+    assert_eq!(sender.metrics().retransmissions_sent(), 2);
+    assert_eq!(
+        sender.metrics().ret_unservable(),
+        0,
+        "sequence numbers never sent are not an unservable span"
     );
 }
 

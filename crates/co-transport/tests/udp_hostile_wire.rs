@@ -22,6 +22,31 @@ fn data_pdu(cid: u32, src: u32) -> Bytes {
     .encode()
 }
 
+/// `valid` with its ack vector's width byte (after the 12-byte header,
+/// `seq` and the vector's `len`) set to a width the codec does not have.
+fn with_bad_width(valid: &Bytes) -> Bytes {
+    let mut raw = valid.to_vec();
+    raw[12 + 8 + 2] = 3;
+    Bytes::from(raw)
+}
+
+/// [`data_pdu`] as a wire version 1 peer would have framed it: the ack
+/// vector as a `u16` length and fixed `u64` entries.
+fn v1_data_pdu(cid: u32) -> Bytes {
+    let mut raw = vec![0xC0, 0xBD, 1, 0]; // magic, version 1, kind = DATA
+    raw.extend_from_slice(&cid.to_be_bytes());
+    raw.extend_from_slice(&0u32.to_be_bytes()); // src
+    raw.extend_from_slice(&1u64.to_be_bytes()); // seq
+    raw.extend_from_slice(&3u16.to_be_bytes()); // ack len
+    for _ in 0..3 {
+        raw.extend_from_slice(&1u64.to_be_bytes());
+    }
+    raw.extend_from_slice(&64u32.to_be_bytes()); // buf
+    raw.extend_from_slice(&6u32.to_be_bytes()); // data len
+    raw.extend_from_slice(b"forged");
+    Bytes::from(raw)
+}
+
 #[test]
 fn hostile_datagrams_are_counted_and_cost_nothing() {
     const ROUNDS: usize = 8;
@@ -30,9 +55,11 @@ fn hostile_datagrams_are_counted_and_cost_nothing() {
     let victim = cluster.local_addrs()[1];
     let stranger = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
     let valid = data_pdu(options.cid, 0);
-    let hostile: [(&str, Bytes); 4] = [
+    let hostile: [(&str, Bytes); 6] = [
         ("garbage", Bytes::from_static(&[0xA5; 40])),
         ("truncated", valid.slice(..valid.len() - 3)),
+        ("bad vector width", with_bad_width(&valid)),
+        ("wire version 1", v1_data_pdu(options.cid)),
         ("wrong cid", data_pdu(options.cid + 1, 0)),
         ("victim's own src", data_pdu(options.cid, 1)),
     ];
@@ -58,7 +85,12 @@ fn hostile_datagrams_are_counted_and_cost_nothing() {
         }
         assert_eq!(got.len(), 3 * ROUNDS, "and nothing forged, at {}", r.id);
         let hit = if r.id.index() == 1 { ROUNDS as u64 } else { 0 };
-        assert_eq!(r.corrupt_frames, 2 * hit, "garbage + truncated at {}", r.id);
+        assert_eq!(
+            r.corrupt_frames,
+            4 * hit,
+            "garbage + truncated + bad width + v1 at {}",
+            r.id
+        );
         assert_eq!(r.rejected_pdus, 2 * hit, "wrong cid + own src at {}", r.id);
         // The socket path carries the observer stack of the channel path.
         assert_eq!(r.flight_recorder.core, "hybrid");

@@ -30,6 +30,18 @@ pub enum DecodeError {
         /// The maximum accepted.
         max: usize,
     },
+    /// A vector's offset width is not one of 1, 2, 4 or 8 bytes.
+    BadWidth {
+        /// The width byte found.
+        found: u8,
+    },
+    /// A vector's `base + offset` does not fit a `u64`.
+    OffsetOverflow {
+        /// The vector's base.
+        base: u64,
+        /// The largest offset of the vector.
+        offset: u64,
+    },
     /// Trailing bytes after a complete PDU.
     TrailingBytes {
         /// Number of unconsumed bytes.
@@ -54,6 +66,12 @@ impl std::fmt::Display for DecodeError {
             }
             DecodeError::AckTooLong { declared, max } => {
                 write!(f, "ack vector length {declared} exceeds maximum {max}")
+            }
+            DecodeError::BadWidth { found } => {
+                write!(f, "vector offset width {found} is not 1, 2, 4 or 8")
+            }
+            DecodeError::OffsetOverflow { base, offset } => {
+                write!(f, "vector base {base} plus offset {offset} overflows u64")
             }
             DecodeError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after pdu")
@@ -87,6 +105,10 @@ mod tests {
         }
         .to_string()
         .contains("99"));
+        assert!(DecodeError::BadWidth { found: 3 }.to_string().contains('3'));
+        assert!(DecodeError::OffsetOverflow { base: 8, offset: 6 }
+            .to_string()
+            .contains("base 8 plus offset 6"));
         assert!(DecodeError::TrailingBytes { extra: 3 }
             .to_string()
             .contains('3'));

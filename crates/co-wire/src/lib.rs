@@ -11,7 +11,10 @@
 //!
 //! The `ACK` field is the sender's whole `REQ` vector, so every PDU is
 //! **O(n)** bytes long — the cost the paper reports in §5 ("the length of
-//! PDU is O(n)") and that the `pdu_overhead` experiment measures.
+//! PDU is O(n)") and that the `pdu_overhead` experiment measures. The
+//! codec (wire version 2) writes each vector as a base plus fixed-width
+//! offsets, which makes the constant one byte per entity while the
+//! vector's entries stay within 255 of each other.
 //!
 //! # Example
 //!

@@ -17,8 +17,18 @@ fn ack_vecs(pdu: &Pdu) -> usize {
     }
 }
 
+/// Vectors of mixed magnitude, so every width arm of the codec is hit: a
+/// base anywhere in `u64` with per-entry offsets capped at 8, 16, 32 or all
+/// 64 bits (saturating at `u64::MAX`), or fully arbitrary entries. Lengths
+/// cross the encoder's 32-entry block.
 fn arb_ack() -> impl Strategy<Value = Vec<Seq>> {
-    prop::collection::vec(any::<u64>().prop_map(Seq::new), 0..32)
+    let caps = prop::sample::select(vec![0xFFu64, 0xFFFF, 0xFFFF_FFFF, u64::MAX]);
+    let framed = (any::<u64>(), caps).prop_flat_map(|(base, cap)| {
+        let entry = (0..=cap).prop_map(move |offset| Seq::new(base.saturating_add(offset)));
+        prop::collection::vec(entry, 0..40)
+    });
+    let arbitrary = prop::collection::vec(any::<u64>().prop_map(Seq::new), 0..40);
+    prop_oneof![framed, arbitrary]
 }
 
 fn arb_data() -> impl Strategy<Value = Pdu> {
