@@ -9,11 +9,14 @@
 //! * **scope consistency** — a [`co_trace::LiveDetector`] fed one node's
 //!   stream agrees with the merged report on the rule both can judge for
 //!   that node, and never judges the rule only the merged trace can;
-//! * **boundedness** — once a run has quiesced, no node's live detector
-//!   holds a PDU record.
+//! * **boundedness** — once a run has quiesced, on every delivery core,
+//!   no node's live detector or latency tracker holds a PDU record;
+//! * **report order** — whatever a live detector finds stuck while the
+//!   run is under way comes out in `(src, seq)` order, although its table
+//!   is unordered.
 
-use co_check::{run_scenario_observed, FaultEvent, Scenario};
-use co_observe::{Observer, ProtocolEvent, TraceLine};
+use co_check::{run_scenario_observed, FaultEvent, Scenario, CORE_NAMES};
+use co_observe::{LatencyTracker, Observer, ProtocolEvent, TraceLine};
 use co_trace::{analyze, AnomalyConfig, Finding, LiveDetector, StreamingDetectors};
 
 /// Every node's event stream, node after node: an order no merged trace
@@ -77,6 +80,17 @@ fn live_over(node: u32, stream: &[ProtocolEvent], cfg: AnomalyConfig) -> LiveDet
     live
 }
 
+/// The `(src, seq)` of the stuck PDUs among `findings`, as reported.
+fn stuck_pdus(findings: &[Finding]) -> Vec<(u32, u64)> {
+    findings
+        .iter()
+        .filter_map(|f| match f {
+            Finding::StuckAtPreAck { src, seq, .. } => Some((*src, *seq)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn line_order_does_not_change_a_finding_on_200_seeded_schedules() {
     let mut total_findings = 0usize;
@@ -135,7 +149,7 @@ fn node_scope_agrees_with_the_merged_report_and_is_empty_at_quiescence() {
                 "schedule {index}, node {node}: one node's stream cannot judge other nodes' deliveries"
             );
             assert_eq!(
-                live.detectors().spans().spans.len(),
+                live.held(),
                 0,
                 "schedule {index}, node {node}: every PDU was delivered here, none may stay resident"
             );
@@ -144,6 +158,53 @@ fn node_scope_agrees_with_the_merged_report_and_is_empty_at_quiescence() {
     assert!(
         saturated_nodes > 0,
         "the corpus must block some submits — agreement on empty sets proves nothing"
+    );
+}
+
+#[test]
+fn live_tables_drain_on_every_core_and_report_in_pdu_order() {
+    // Any PDU pre-acked a microsecond ago counts as stuck, so snapshots
+    // taken while a run is under way have something to order.
+    let eager = AnomalyConfig {
+        stuck_preack_us: 0,
+        ..tight()
+    };
+    let mut most_stuck_at_once = 0usize;
+    for (index, mut sc) in corpus() {
+        for core in CORE_NAMES {
+            sc.core = core.to_string();
+            let (report, traces) = run_scenario_observed(&sc, true, 0);
+            assert!(
+                report.violations.is_empty(),
+                "schedule {index} on {core} must quiesce cleanly: {:?}",
+                report.violations
+            );
+            for (node, stream) in traces.iter().enumerate() {
+                let mut live = LiveDetector::new(node as u32, eager);
+                let mut latency = LatencyTracker::default();
+                for (at, &event) in stream.iter().enumerate() {
+                    live.on_event(event);
+                    latency.on_event(event);
+                    if at % 16 == 0 {
+                        let stuck = stuck_pdus(&live.findings());
+                        assert!(
+                            stuck.is_sorted(),
+                            "schedule {index} on {core}, node {node}: {stuck:?}"
+                        );
+                        most_stuck_at_once = most_stuck_at_once.max(stuck.len());
+                    }
+                }
+                assert_eq!(
+                    (live.held(), latency.in_flight()),
+                    (0, 0),
+                    "schedule {index} on {core}, node {node}: delivered everywhere, held nowhere"
+                );
+            }
+        }
+    }
+    assert!(
+        most_stuck_at_once >= 4,
+        "snapshots of {most_stuck_at_once} stuck PDUs at most cannot show an order"
     );
 }
 

@@ -20,7 +20,8 @@
 //! * [`CounterFold`] — reconstructs the engine's counters from events
 //!   alone (property-tested to match `Metrics::snapshot()` exactly).
 //! * [`LatencyTracker`] — per-stage latency histograms (submit→accept,
-//!   accept→pre-ack, accept→deliver, RET round-trip).
+//!   accept→pre-ack, accept→deliver, RET round-trip), over an
+//!   [`InFlight`] table of the PDUs accepted and not yet delivered.
 //! * [`Tee`] / `Option<O>` / `Box<dyn Observer>` — composition,
 //!   optionality, and runtime selection.
 //!
@@ -36,6 +37,7 @@ mod counters;
 mod event;
 mod flow;
 mod histogram;
+mod inflight;
 mod json;
 pub mod jsonl;
 mod latency;
@@ -48,6 +50,7 @@ pub use counters::{CounterFold, Counters};
 pub use event::ProtocolEvent;
 pub use flow::FlowGauge;
 pub use histogram::{Histogram, BUCKETS};
+pub use inflight::InFlight;
 pub use json::Json;
 pub use jsonl::TraceLine;
 pub use latency::LatencyTracker;

@@ -41,6 +41,15 @@ impl Default for AnomalyConfig {
     }
 }
 
+impl AnomalyConfig {
+    /// How long something that happened at `since_us` has waited by
+    /// `end_us`, if that is past the staleness gate of the span rules.
+    pub(crate) fn stale(&self, end_us: u64, since_us: u64) -> Option<u64> {
+        let waited_us = end_us.saturating_sub(since_us);
+        (waited_us > self.stuck_preack_us).then_some(waited_us)
+    }
+}
+
 /// One detected protocol anomaly, with the evidence that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Finding {

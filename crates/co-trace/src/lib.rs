@@ -17,13 +17,16 @@
 //!   fixed-bucket [`co_observe::Histogram`]s as the live trackers —
 //!   `send→deliver` over remote destinations is exactly the paper's Tap;
 //! * [`StreamingDetectors`] is the anomaly rules ([`Finding`]) as one
-//!   incremental fold: stuck-at-pre-ack, RET storms, F1/F2 loss-burst
-//!   clusters, flow-condition saturation, and never-acknowledged PDUs —
-//!   each carrying the evidence that produced it. Over a merged trace it
-//!   judges all five; [`LiveDetector`] wraps it as an observer of one
-//!   node's own stream, where it judges the four rules defined there and
-//!   keeps state only for PDUs that node still holds, so drivers get
-//!   always-on anomaly detection without a trace file in the loop;
+//!   incremental fold over a merged trace: stuck-at-pre-ack, RET storms,
+//!   F1/F2 loss-burst clusters, flow-condition saturation, and
+//!   never-acknowledged PDUs — each carrying the evidence that produced
+//!   it;
+//! * [`LiveDetector`] is the observer of one node's own event stream. It
+//!   shares the three node-local rule folds with [`StreamingDetectors`]
+//!   and judges stuck-at-pre-ack over one flat record per PDU that node
+//!   still holds (a `co_observe::InFlight` table, nothing on the heap
+//!   per PDU; a span is built only as a finding's evidence), so drivers
+//!   get always-on anomaly detection without a trace file in the loop;
 //! * [`analyze`] runs a whole trace through that fold and bundles spans,
 //!   breakdown and findings into a [`SpanReport`] with
 //!   text and JSON renderings (`co-cli trace analyze`, the

@@ -1,7 +1,16 @@
 //! Span model and the trace stitcher ([`SpanSet::observe`]).
+//!
+//! A [`SpanSet`] is what is built from a trace *file* (`trace analyze`,
+//! `trace watch`, recorder dumps): keyed by whatever `(src, seq)` the lines
+//! name, so it stays an ordered map and every span owns its sparse
+//! per-destination stages. An entity's own live stream does not go through
+//! it — [`crate::LiveDetector`] keeps a flat record per held PDU and builds
+//! a [`BroadcastSpan`] only as the evidence of a finding; the two share
+//! [`stage_of`], the event → [`Stage`] mapping.
 
 use std::collections::BTreeMap;
 
+use causal_order::{EntityId, Seq};
 use co_observe::{Histogram, ProtocolEvent, TraceLine};
 
 /// A receipt-level stage of one broadcast at one destination (§4.1).
@@ -202,6 +211,24 @@ impl Breakdown {
     }
 }
 
+/// `(source, seq, stage, from_reorder)` of a stage event — the one place
+/// protocol events become [`Stage`]s, for the stitcher and for the
+/// node-scope detector alike.
+pub(crate) fn stage_of(event: &ProtocolEvent) -> Option<(EntityId, Seq, Stage, bool)> {
+    Some(match *event {
+        ProtocolEvent::DataSent { src, seq, .. } => (src, seq, Stage::Send, false),
+        ProtocolEvent::Accepted {
+            src,
+            seq,
+            from_reorder,
+            ..
+        } => (src, seq, Stage::Accept, from_reorder),
+        ProtocolEvent::PreAcked { src, seq, .. } => (src, seq, Stage::PreAck, false),
+        ProtocolEvent::Delivered { src, seq, .. } => (src, seq, Stage::Deliver, false),
+        _ => return None,
+    })
+}
+
 /// All spans reconstructed from one trace, built line by line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanSet {
@@ -244,35 +271,25 @@ impl SpanSet {
         b
     }
 
-    /// Folds one trace line in — the one place stage events become
-    /// [`Stage`]s. Lines may come in any order; of a stage recorded twice
-    /// the first line wins and the repeat lands in
-    /// [`SpanSet::duplicates`]. Returns the span and stage the line
-    /// recorded, if it was a stage event.
-    pub fn observe(&mut self, line: &TraceLine) -> Option<((u32, u64), Stage)> {
-        let (node, event) = match *line {
-            TraceLine::HostTco { node, .. } => (node, None),
-            TraceLine::Event { node, event } => (node, Some(event)),
+    /// Folds one trace line in. Lines may come in any order; of a stage
+    /// recorded twice the first line wins and the repeat lands in
+    /// [`SpanSet::duplicates`].
+    pub fn observe(&mut self, line: &TraceLine) {
+        let node = match *line {
+            TraceLine::HostTco { node, .. } | TraceLine::Event { node, .. } => node,
         };
         let at_us = line.t_us();
         self.n = self.n.max(node as usize + 1);
         self.end_us = self.end_us.max(at_us);
-        let (src, seq, stage, from_reorder) = match event? {
-            ProtocolEvent::DataSent { src, seq, .. } => (src, seq, Stage::Send, false),
-            ProtocolEvent::Accepted {
-                src,
-                seq,
-                from_reorder,
-                ..
-            } => (src, seq, Stage::Accept, from_reorder),
-            ProtocolEvent::PreAcked { src, seq, .. } => (src, seq, Stage::PreAck, false),
-            ProtocolEvent::Delivered { src, seq, .. } => (src, seq, Stage::Deliver, false),
-            _ => return None,
+        let TraceLine::Event { event, .. } = line else {
+            return;
+        };
+        let Some((src, seq, stage, from_reorder)) = stage_of(event) else {
+            return;
         };
         let (src, seq) = (src.index() as u32, seq.get());
         self.n = self.n.max(src as usize + 1);
         self.set_stage(node, src, seq, stage, at_us, from_reorder);
-        Some(((src, seq), stage))
     }
 
     fn set_stage(
@@ -291,8 +308,7 @@ impl SpanSet {
                 src,
                 seq,
                 sent_us: None,
-                // One entry is all a single node's stream ever adds.
-                stages: Vec::with_capacity(1),
+                stages: Vec::new(),
             });
         let duplicate = DuplicateStage {
             node,
@@ -344,7 +360,6 @@ pub fn stitch(lines: &[TraceLine]) -> SpanSet {
 mod tests {
     use super::*;
     use crate::testkit::{accepted, delivered, ev, id, pre_acked, sent};
-    use causal_order::Seq;
 
     /// One broadcast from node 0, fully received by nodes 0..3.
     fn full_span_trace() -> Vec<TraceLine> {

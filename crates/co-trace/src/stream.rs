@@ -1,14 +1,15 @@
-//! The anomaly rules, as one incremental fold over trace lines.
+//! The anomaly rules, as incremental folds.
 //!
-//! [`StreamingDetectors`] consumes trace lines one at a time and can be
-//! asked for its [`findings`](StreamingDetectors::findings) at any
-//! point. It expects a time-nondecreasing stream — a merged trace is time
-//! sorted, a single node's live stream is monotonic by construction, and
-//! [`crate::analyze`] sorts whatever it is given first. How lines with
-//! equal timestamps are ordered does not change a finding.
+//! [`StreamingDetectors`] consumes the lines of a *merged trace* one at a
+//! time and can be asked for its [`findings`](StreamingDetectors::findings)
+//! at any point; [`LiveDetector`] is the always-on [`Observer`] of one
+//! entity's *own event stream*. Both expect time-nondecreasing input — a
+//! merged trace is time sorted, a node's live stream is monotonic by
+//! construction, and [`crate::analyze`] sorts whatever it is given first.
+//! How lines with equal timestamps are ordered does not change a finding.
 //!
-//! What a detector keeps follows from the **scope** of the stream it is
-//! built for (DESIGN.md, "Cross-node spans", tabulates rule × scope):
+//! The three rules that are local to a node are written once
+//! ([`LocalRules`]) and folded by both:
 //!
 //! * RET storm — one sliding window of requests per source, pruned to
 //!   the configured width, plus the best window seen so far. The best
@@ -20,21 +21,30 @@
 //!   findings; cluster boundaries depend only on timestamps.
 //! * Flow saturation — one gauge aggregate per node (fully
 //!   order-independent).
-//! * Span rules — a [`SpanSet`] stitched as the lines arrive. On a merged
-//!   trace ([`StreamingDetectors::new`]) it holds every span, which is
-//!   the set [`crate::analyze`] reports anyway. On one node's stream
-//!   ([`LiveDetector`]) a span is dropped at the node's own `delivered`
-//!   — the last thing that node will ever say about the PDU — so the
-//!   set holds exactly the PDUs the entity itself still holds (the
-//!   paper's ≈ 2nW), and never-acknowledged, which asks about *other*
-//!   nodes' deliveries, is not judged.
+//!
+//! The span rules differ in what they keep (DESIGN.md, "Cross-node
+//! spans", tabulates rule × scope):
+//!
+//! * [`StreamingDetectors`] stitches a [`SpanSet`] as the lines arrive and
+//!   holds every span, which is the set [`crate::analyze`] reports anyway.
+//!   Its keys come from a file, so it is an ordered map behind the trace
+//!   parser's checks.
+//! * [`LiveDetector`] keeps one flat [`Held`] record per PDU the entity
+//!   itself still holds (the paper's ≈ 2nW) in a
+//!   [`co_observe::InFlight`] table: made at the node's `data_sent` /
+//!   `accepted`, stamped at `pre_acked`, dropped at its own `delivered` —
+//!   the last thing that node will ever say about the PDU. Nothing is
+//!   allocated per PDU; the [`BroadcastSpan`] evidence of a stuck PDU is
+//!   built when findings are asked for. Never-acknowledged asks about
+//!   *other* nodes' deliveries, which this state cannot express, so it is
+//!   not judged.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use co_observe::{Observer, ProtocolEvent, TraceLine};
+use co_observe::{InFlight, Observer, ProtocolEvent, TraceLine};
 
 use crate::anomaly::{AnomalyConfig, Finding};
-use crate::span::{BroadcastSpan, SpanSet, Stage};
+use crate::span::{stage_of, BroadcastSpan, SpanSet, Stage, StageTimes};
 
 /// The densest request window seen so far for one source.
 #[derive(Debug, Clone)]
@@ -86,83 +96,31 @@ struct FlowState {
     to_us: u64,
 }
 
-/// Which stream a detector is fed; decides what the span rules keep and
-/// judge (module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scope {
-    /// Every node's lines, merged.
-    Merged,
-    /// One node's own event stream.
-    Node,
-}
-
-/// The anomaly rules as an incremental fold: built by
-/// [`StreamingDetectors::new`] for a merged trace, or held by a
-/// [`LiveDetector`] for one node's stream. See the module docs for the
-/// input contract and the state each rule keeps.
+/// The rules that need no span: RET storm, loss burst and flow
+/// saturation, folded over the events of one node or of all of them.
 #[derive(Debug, Clone)]
-pub struct StreamingDetectors {
+struct LocalRules {
     cfg: AnomalyConfig,
-    scope: Scope,
     ret: BTreeMap<u32, RetState>,
     loss_closed: Vec<Finding>,
     loss_open: Option<LossCluster>,
     flow: BTreeMap<u32, FlowState>,
-    set: SpanSet,
 }
 
-impl StreamingDetectors {
-    /// Detectors for a merged trace: all five rules, every span kept.
-    pub fn new(cfg: AnomalyConfig) -> StreamingDetectors {
-        StreamingDetectors::scoped(cfg, Scope::Merged)
-    }
-
-    fn scoped(cfg: AnomalyConfig, scope: Scope) -> StreamingDetectors {
-        StreamingDetectors {
+impl LocalRules {
+    fn new(cfg: AnomalyConfig) -> LocalRules {
+        LocalRules {
             cfg,
-            scope,
             ret: BTreeMap::new(),
             loss_closed: Vec::new(),
             loss_open: None,
             flow: BTreeMap::new(),
-            set: SpanSet::default(),
         }
-    }
-
-    /// The thresholds in force.
-    pub fn config(&self) -> &AnomalyConfig {
-        &self.cfg
-    }
-
-    /// The spans currently held: all of them on a merged trace, the PDUs
-    /// not yet delivered locally on a node's stream.
-    pub fn spans(&self) -> &SpanSet {
-        &self.set
-    }
-
-    /// Gives up the stitched spans (what [`crate::analyze`] reports).
-    pub fn into_spans(self) -> SpanSet {
-        self.set
     }
 
     /// Feeds one protocol event observed at `node`.
-    pub fn observe(&mut self, node: u32, event: ProtocolEvent) {
-        self.observe_line(&TraceLine::Event { node, event });
-    }
-
-    /// Feeds one trace line. Lines must arrive with nondecreasing
-    /// timestamps.
-    pub fn observe_line(&mut self, line: &TraceLine) {
-        let staged = self.set.observe(line);
-        if let (Scope::Node, Some((pdu, Stage::Deliver))) = (self.scope, staged) {
-            // Delivered here: this node has nothing more to say about the
-            // PDU, and no rule judged on its stream can fire for it again.
-            self.set.spans.remove(&pdu);
-        }
-        let TraceLine::Event { node, event } = *line else {
-            return;
-        };
-        match event {
+    fn observe(&mut self, node: u32, event: &ProtocolEvent) {
+        match *event {
             ProtocolEvent::RetSent { src, now_us, .. } => {
                 self.observe_ret(src.index() as u32, node, now_us);
             }
@@ -274,34 +232,9 @@ impl StreamingDetectors {
             .map(|(node, g)| (*node, g))
     }
 
-    /// `(node, waited_us)` wherever `span` is pre-acked, undelivered and
-    /// stale.
-    fn stuck<'a>(&'a self, span: &'a BroadcastSpan) -> impl Iterator<Item = (u32, u64)> + 'a {
-        span.stages.iter().filter_map(move |&(node, stage)| {
-            let (Some(preack), None) = (stage.pre_ack_us, stage.deliver_us) else {
-                return None;
-            };
-            let waited_us = self.set.end_us.saturating_sub(preack);
-            (waited_us > self.cfg.stuck_preack_us).then_some((node, waited_us))
-        })
-    }
-
-    /// The destinations that never delivered `span`, if it is stale and
-    /// there are any. Only a merged trace can say.
-    fn unacknowledged(&self, span: &BroadcastSpan) -> Option<Vec<u32>> {
-        if self.scope != Scope::Merged
-            || self.set.end_us.saturating_sub(span.sent_us?) <= self.cfg.stuck_preack_us
-        {
-            return None;
-        }
-        Some(span.missing_deliveries(self.set.n)).filter(|missing| !missing.is_empty())
-    }
-
-    /// Snapshot of every rule's current findings, in report order: RET
-    /// storms (source ascending), loss bursts (time order), flow
-    /// saturation (node ascending), then the span rules in `(src, seq)`
-    /// order.
-    pub fn findings(&self) -> Vec<Finding> {
+    /// Current findings in report order: RET storms (source ascending),
+    /// loss bursts (time order), flow saturation (node ascending).
+    fn findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
         for (src, best) in self.ret_storms() {
             out.push(Finding::RetStorm {
@@ -326,6 +259,98 @@ impl StreamingDetectors {
                 to_us: g.to_us,
             });
         }
+        out
+    }
+
+    /// `(kind, count)` for every rule kind in [`Finding::KINDS`] order:
+    /// what [`LocalRules::findings`] would report, then the two span
+    /// rules as the caller counted them.
+    fn kind_counts(&self, stuck: usize, unacknowledged: usize) -> Vec<(&'static str, u64)> {
+        let counts = [
+            self.ret_storms().count(),
+            self.loss_closed.len() + usize::from(self.open_burst().is_some()),
+            self.saturated().count(),
+            stuck,
+            unacknowledged,
+        ];
+        Finding::KINDS
+            .into_iter()
+            .zip(counts.map(|count| count as u64))
+            .collect()
+    }
+}
+
+/// All five anomaly rules as an incremental fold over a merged trace,
+/// every span kept. See the module docs for the input contract and the
+/// state each rule keeps.
+#[derive(Debug, Clone)]
+pub struct StreamingDetectors {
+    rules: LocalRules,
+    set: SpanSet,
+}
+
+impl StreamingDetectors {
+    /// Detectors for a merged trace.
+    pub fn new(cfg: AnomalyConfig) -> StreamingDetectors {
+        StreamingDetectors {
+            rules: LocalRules::new(cfg),
+            set: SpanSet::default(),
+        }
+    }
+
+    /// The thresholds in force.
+    pub fn config(&self) -> &AnomalyConfig {
+        &self.rules.cfg
+    }
+
+    /// The spans stitched so far.
+    pub fn spans(&self) -> &SpanSet {
+        &self.set
+    }
+
+    /// Gives up the stitched spans (what [`crate::analyze`] reports).
+    pub fn into_spans(self) -> SpanSet {
+        self.set
+    }
+
+    /// Feeds one protocol event observed at `node`.
+    pub fn observe(&mut self, node: u32, event: ProtocolEvent) {
+        self.observe_line(&TraceLine::Event { node, event });
+    }
+
+    /// Feeds one trace line. Lines must arrive with nondecreasing
+    /// timestamps.
+    pub fn observe_line(&mut self, line: &TraceLine) {
+        self.set.observe(line);
+        if let TraceLine::Event { node, event } = line {
+            self.rules.observe(*node, event);
+        }
+    }
+
+    /// `(node, waited_us)` wherever `span` is pre-acked, undelivered and
+    /// stale.
+    fn stuck<'a>(&'a self, span: &'a BroadcastSpan) -> impl Iterator<Item = (u32, u64)> + 'a {
+        span.stages.iter().filter_map(move |&(node, stage)| {
+            let (Some(preack), None) = (stage.pre_ack_us, stage.deliver_us) else {
+                return None;
+            };
+            Some((node, self.rules.cfg.stale(self.set.end_us, preack)?))
+        })
+    }
+
+    /// The destinations that never delivered `span`, if it is stale and
+    /// there are any.
+    fn unacknowledged(&self, span: &BroadcastSpan) -> Option<Vec<u32>> {
+        self.rules.cfg.stale(self.set.end_us, span.sent_us?)?;
+        Some(span.missing_deliveries(self.set.n)).filter(|missing| !missing.is_empty())
+    }
+
+    /// Snapshot of every rule's current findings, in report order: RET
+    /// storms (source ascending), loss bursts (time order), flow
+    /// saturation (node ascending), then the span rules in `(src, seq)`
+    /// order.
+    pub fn findings(&self) -> Vec<Finding> {
+        let mut out = self.rules.findings();
         for span in self.set.spans.values() {
             for (node, waited_us) in self.stuck(span) {
                 out.push(Finding::StuckAtPreAck {
@@ -354,35 +379,45 @@ impl StreamingDetectors {
     /// building the evidence.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
         let spans = || self.set.spans.values();
-        // In `Finding::KINDS` order.
-        let counts = [
-            self.ret_storms().count(),
-            self.loss_closed.len() + usize::from(self.open_burst().is_some()),
-            self.saturated().count(),
+        self.rules.kind_counts(
             spans().map(|span| self.stuck(span).count()).sum(),
             spans()
                 .filter(|span| self.unacknowledged(span).is_some())
                 .count(),
-        ];
-        Finding::KINDS
-            .into_iter()
-            .zip(counts.map(|count| count as u64))
-            .collect()
+        )
     }
+}
+
+/// What a [`LiveDetector`] remembers of a PDU its entity holds: the local
+/// stage times, flat and `Copy` — no span, no per-destination list.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    /// The node's `data_sent` (own PDU) or `accepted`.
+    accept_us: u64,
+    /// The node's `pre_acked`, once `pre_acked` is set.
+    pre_ack_us: u64,
+    pre_acked: bool,
+    /// The record was made by `data_sent`: the PDU is the node's own and
+    /// `accept_us` is also its send time.
+    sent: bool,
+    from_reorder: bool,
 }
 
 /// An [`Observer`] running the anomaly rules in-process over one node's
 /// live event stream: always-on detection with no trace file in the loop.
 ///
 /// It reports the four rules that are defined on a single node's stream
-/// — RET storm, loss burst, flow saturation, stuck-at-pre-ack — and holds
-/// a span only while the node itself holds the PDU (module docs).
+/// — RET storm, loss burst, flow saturation, stuck-at-pre-ack — and keeps
+/// a record only while the node itself holds the PDU (module docs).
 /// Never-acknowledged needs the merged trace; its kind count is an
 /// explicit zero here.
 #[derive(Debug, Clone)]
 pub struct LiveDetector {
     node: u32,
-    inner: StreamingDetectors,
+    rules: LocalRules,
+    held: InFlight<Held>,
+    /// The stream's last timestamp, µs — "now" for the staleness gate.
+    end_us: u64,
 }
 
 impl LiveDetector {
@@ -390,29 +425,96 @@ impl LiveDetector {
     pub fn new(node: u32, cfg: AnomalyConfig) -> LiveDetector {
         LiveDetector {
             node,
-            inner: StreamingDetectors::scoped(cfg, Scope::Node),
+            rules: LocalRules::new(cfg),
+            held: InFlight::default(),
+            end_us: 0,
         }
     }
 
-    /// The underlying detectors.
-    pub fn detectors(&self) -> &StreamingDetectors {
-        &self.inner
+    /// PDUs the node has sent or accepted and not yet delivered — the
+    /// records resident here.
+    pub fn held(&self) -> usize {
+        self.held.len()
     }
 
-    /// Current findings snapshot (report order).
+    /// `((src, seq), record, waited_us)` of every held PDU that is
+    /// pre-acked and stale, in table order.
+    fn stuck(&self) -> impl Iterator<Item = ((u32, u64), &Held, u64)> {
+        let pre_acked = self.held.iter().filter(|(_, held)| held.pre_acked);
+        pre_acked.filter_map(|(pdu, held)| {
+            let waited_us = self.rules.cfg.stale(self.end_us, held.pre_ack_us)?;
+            Some((pdu, held, waited_us))
+        })
+    }
+
+    /// Current findings snapshot, in report order: the node-local rules,
+    /// then the stuck PDUs in `(src, seq)` order, each with the span this
+    /// node saw of it.
     pub fn findings(&self) -> Vec<Finding> {
-        self.inner.findings()
+        let mut out = self.rules.findings();
+        let mut stuck: Vec<_> = self.stuck().collect();
+        stuck.sort_unstable_by_key(|&(pdu, ..)| pdu);
+        for ((src, seq), held, waited_us) in stuck {
+            let times = StageTimes {
+                accept_us: Some(held.accept_us),
+                pre_ack_us: Some(held.pre_ack_us),
+                deliver_us: None,
+                from_reorder: held.from_reorder,
+            };
+            out.push(Finding::StuckAtPreAck {
+                node: self.node,
+                src,
+                seq,
+                waited_us,
+                span: BroadcastSpan {
+                    src,
+                    seq,
+                    sent_us: held.sent.then_some(held.accept_us),
+                    stages: vec![(self.node, times)],
+                },
+            });
+        }
+        out
     }
 
     /// `(kind, count)` for every rule kind, including zeros.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
-        self.inner.kind_counts()
+        self.rules.kind_counts(self.stuck().count(), 0)
     }
 }
 
 impl Observer for LiveDetector {
     fn on_event(&mut self, event: ProtocolEvent) {
-        self.inner.observe(self.node, event);
+        let now_us = event.now_us();
+        self.end_us = self.end_us.max(now_us);
+        let Some((src, seq, stage, from_reorder)) = stage_of(&event) else {
+            self.rules.observe(self.node, &event);
+            return;
+        };
+        match stage {
+            // An entity emits one of the two per PDU it comes to hold.
+            Stage::Send | Stage::Accept => {
+                let held = Held {
+                    accept_us: now_us,
+                    pre_ack_us: 0,
+                    pre_acked: false,
+                    sent: stage == Stage::Send,
+                    from_reorder,
+                };
+                self.held.insert(src, seq, held);
+            }
+            Stage::PreAck => {
+                if let Some(held) = self.held.get_mut(src, seq) {
+                    held.pre_ack_us = now_us;
+                    held.pre_acked = true;
+                }
+            }
+            // Delivered here: this node has nothing more to say about the
+            // PDU, and no rule judged on its stream can fire for it again.
+            Stage::Deliver => {
+                self.held.remove(src, seq);
+            }
+        }
     }
 }
 
@@ -612,9 +714,9 @@ mod tests {
             for k in 0..100u64 {
                 let [first, pre_ack, delivery] = completes_at(node, 0, 100 + k, 1_000 + k * 10);
                 feed(&mut live, &[first, pre_ack]);
-                assert_eq!(live.detectors().spans().spans.len(), 1, "held: in flight");
+                assert_eq!(live.held(), 1, "held: in flight");
                 feed(&mut live, &[delivery]);
-                assert!(live.detectors().spans().spans.is_empty(), "node {node}");
+                assert_eq!(live.held(), 0, "node {node}");
             }
             // Long after: nothing is held, so nothing is stale — and a
             // node never judges other nodes' deliveries.
@@ -626,19 +728,69 @@ mod tests {
     #[test]
     fn live_detector_reports_the_local_stages_of_a_stuck_pdu() {
         let mut live = LiveDetector::new(1, lowered());
-        let [accept, pre_ack, _] = completes_at(1, 0, 9, 300);
-        feed(&mut live, &[accept, pre_ack, tick(1, 40_000)]);
-        match &live.findings()[..] {
-            [Finding::StuckAtPreAck {
-                node: 1,
-                src: 0,
-                seq: 9,
-                span,
-                ..
-            }] => assert!(matches!(span.stages[..], [(1, _)])),
-            other => panic!("expected one stuck PDU, got {other:?}"),
-        }
-        assert!(live.kind_counts().contains(&("stuck_at_pre_ack", 1)));
+        // Three PDUs stuck here, fed out of `(src, seq)` order: one
+        // repaired out of the reorder buffer, the node's own, and one
+        // straight off the wire. A fourth is delivered, a fifth never
+        // pre-acked.
+        let repaired = ProtocolEvent::Accepted {
+            src: id(2),
+            seq: Seq::new(4),
+            from_reorder: true,
+            now_us: 310,
+        };
+        let [_, _, delivery] = completes_at(1, 0, 8, 300);
+        feed(
+            &mut live,
+            &[
+                ev(1, repaired),
+                pre_acked(1, 2, 4, 330),
+                sent(1, 7, 300),
+                pre_acked(1, 1, 7, 320),
+                accepted(1, 0, 9, 310),
+                pre_acked(1, 0, 9, 340),
+                accepted(1, 0, 8, 305),
+                pre_acked(1, 0, 8, 315),
+                delivery,
+                accepted(1, 0, 10, 350),
+                tick(1, 40_000),
+            ],
+        );
+        let evidence = |sent_us, accept_us, pre_ack_us, from_reorder| {
+            let times = StageTimes {
+                accept_us: Some(accept_us),
+                pre_ack_us: Some(pre_ack_us),
+                deliver_us: None,
+                from_reorder,
+            };
+            (sent_us, vec![(1, times)])
+        };
+        let found: Vec<_> = live
+            .findings()
+            .into_iter()
+            .map(|finding| match finding {
+                Finding::StuckAtPreAck {
+                    node: 1,
+                    src,
+                    seq,
+                    waited_us,
+                    span,
+                } => {
+                    assert_eq!((span.src, span.seq), (src, seq));
+                    (src, seq, waited_us, (span.sent_us, span.stages))
+                }
+                other => panic!("expected a stuck PDU, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (0, 9, 39_660, evidence(None, 310, 340, false)),
+                (1, 7, 39_680, evidence(Some(300), 300, 320, false)),
+                (2, 4, 39_670, evidence(None, 310, 330, true)),
+            ]
+        );
+        assert!(live.kind_counts().contains(&("stuck_at_pre_ack", 3)));
+        assert_eq!(live.held(), 4);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Boundedness guard for the node-scope detector.
 //!
-//! A counting global allocator tracks the bytes the process holds while a
-//! [`LiveDetector`] at node 63 of a 64-node cluster watches broadcasts
-//! complete. A PDU's record is dropped at the node's own `delivered`, so
-//! what the detector holds after 10 000 completed broadcasts must be what
-//! it held after the first 100 (give or take how full its B-tree nodes
-//! happen to be) — its state follows the PDUs in flight, not the length
-//! of the run.
+//! A counting global allocator tracks the bytes the process holds, and how
+//! often it allocates, while a [`LiveDetector`] at node 63 of a 64-node
+//! cluster watches broadcasts complete. A PDU's record is dropped at the
+//! node's own `delivered`, so what the detector holds after 10 000
+//! completed broadcasts must be what it held after the first 1 000 — its
+//! state follows the PDUs in flight, not the length of the run — and the
+//! records live in one table, so completing a broadcast allocates nothing.
 //!
 //! This file holds a single test on purpose: the global allocator is
 //! per-binary, and a lone test keeps the byte count free of concurrent
 //! test threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use causal_order::{EntityId, Seq};
 use co_observe::{Observer, ProtocolEvent};
@@ -22,12 +23,27 @@ use co_trace::{AnomalyConfig, LiveDetector};
 struct CountingAlloc;
 
 static RESIDENT: AtomicI64 = AtomicI64::new(0);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set by the test, on its own thread, around the counted rounds:
+    /// libtest's bookkeeping on the main thread runs concurrently and must
+    /// not be counted.
+    static COUNTED_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if COUNTED_THREAD.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is only a statistic.
+// `GlobalAlloc` contract; the counters are only statistics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         RESIDENT.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -38,6 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         RESIDENT.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,27 +98,49 @@ fn round(live: &mut LiveDetector, k: u64) {
 fn resident_bytes_do_not_grow_with_completed_broadcasts() {
     let mut live = LiveDetector::new(ME, AnomalyConfig::default());
     let rounds = |live: &mut LiveDetector, from: u64, to: u64| {
+        COUNTED_THREAD.set(true);
         for k in from..=to {
             round(live, k);
         }
-        RESIDENT.load(Ordering::Relaxed)
+        COUNTED_THREAD.set(false);
+        (
+            RESIDENT.load(Ordering::Relaxed),
+            ALLOCATIONS.load(Ordering::Relaxed),
+        )
     };
-    // 100 broadcasts (and then 10 000) counted per source; all 64 sources
-    // send in every round.
-    let after_100 = rounds(&mut live, 1, 100);
-    let after_10_000 = rounds(&mut live, 101, 10_000);
+    // 100 broadcasts (then 1 000, then 10 000) counted per source; all 64
+    // sources send in every round. The sequence of events and the hasher
+    // are fixed, so the table's one late resize always lands in the same
+    // round (120: deletions leave tombstones, and a table more than half
+    // full grows once instead of rehashing in place; from then on it
+    // rehashes in place). The byte baseline is therefore taken at round
+    // 1 000, with the table at its final size.
+    let (_, allocations_100) = rounds(&mut live, 1, 100);
+    let (after_1_000, allocations_1_000) = rounds(&mut live, 101, 1_000);
+    let (after_10_000, allocations_10_000) = rounds(&mut live, 1_001, 10_000);
     assert_eq!(
-        live.detectors().spans().spans.len() as u64,
+        live.held() as u64,
         N * IN_FLIGHT,
         "exactly the undelivered PDUs are held"
     );
-    // The same 512 records sit in B-tree nodes whose occupancy depends on
-    // insertion history, hence the slack; a record kept per completed
-    // broadcast would be a hundredfold growth.
+    // 9 900 rounds × 64 sources completed; a span per PDU would be one
+    // allocation each.
+    let late = allocations_10_000 - allocations_100;
     assert!(
-        after_10_000 <= after_100 + after_100 / 4,
+        late <= 2,
+        "{late} allocations while 633 600 broadcasts completed: \
+         at most one late table resize is expected"
+    );
+    assert_eq!(
+        allocations_10_000, allocations_1_000,
+        "nothing allocates once the table has reached its final size"
+    );
+    // The same 512 records sit in the same table; a record kept per
+    // completed broadcast would be a tenfold growth.
+    assert!(
+        after_10_000 <= after_1_000 + after_1_000 / 4,
         "resident bytes follow the PDUs in flight, not the run length: \
-         {after_100} B after 100 broadcasts per source, {after_10_000} B after 10 000"
+         {after_1_000} B after 1 000 broadcasts per source, {after_10_000} B after 10 000"
     );
     assert!(live.findings().is_empty(), "a healthy stream");
 }

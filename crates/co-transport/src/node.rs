@@ -28,7 +28,15 @@ use crate::udp::UdpReader;
 pub(crate) const DRAIN_IDLE: Duration = Duration::from_millis(30);
 
 /// A node that cannot quiesce after a shutdown request (a partitioned
-/// peer, say) exits anyway once idle for this many drain windows.
+/// peer, say) exits anyway once nothing it was given has moved it for
+/// this many drain windows ([`Node::progress`] says what moving is).
+///
+/// The trade-off: frames that leave those counters alone — a heartbeat
+/// repeating what is known, a confirmation that only lets the send log be
+/// pruned — do not extend the wait, or the survivors of a dead peer would
+/// keep each other running for ever. So a node still holding PDUs also
+/// gives up on a peer that is alive but moves nothing here for the whole
+/// 600 ms, and is then no longer there to serve that peer's later `RET`.
 const HARD_EXIT_IDLE_WINDOWS: u32 = 20;
 
 #[derive(Debug)]
@@ -221,12 +229,30 @@ impl<C: DeliveryCore, O: Observer> Node<C, O> {
         acted
     }
 
+    /// What a drain has to move to count as progress: a PDU accepted,
+    /// taken a stage further (pre-acknowledged, delivered), a queued
+    /// payload let through the send gate, or a peer's `RET` served. Each
+    /// is bounded by what was ever submitted, so peers that only repeat
+    /// themselves cannot keep it moving.
+    fn progress(&self) -> [u64; 5] {
+        let m = self.entity.metrics();
+        [
+            m.accepted(),
+            m.pre_acknowledged(),
+            m.delivered(),
+            m.data_sent(),
+            m.retransmissions_sent(),
+        ]
+    }
+
     /// One inbox drain: `first` plus everything already queued, up to the
     /// batch cap, through the engine's batched acceptance. Corrupt frames
     /// drop like a bad checksum and mis-addressed PDUs drop inside the
-    /// batch without poisoning it; both are counted.
-    fn drain(&mut self, first: Bytes, host: &mut impl Host<C, O>) {
+    /// batch without poisoning it; both are counted. `true` if the drain
+    /// made [progress](Node::progress).
+    fn drain(&mut self, first: Bytes, host: &mut impl Host<C, O>) -> bool {
         let started = Instant::now();
+        let before = self.progress();
         self.frames.push(first);
         while self.frames.len() < self.drain_batch {
             match self.inbox.try_recv() {
@@ -248,12 +274,16 @@ impl<C: DeliveryCore, O: Observer> Node<C, O> {
         self.rejected_pdus += outcome.rejected as u64;
         self.dispatch(host);
         host.drained(drained, started.elapsed(), now);
+        self.progress() != before
     }
 
     /// Drives the entity until a shutdown request has been served: the
     /// node is quiescent and neither received nor sent anything for the
     /// drain window (30 ms) — or, if it cannot quiesce (a dead peer, say),
-    /// received nothing for twenty of them.
+    /// was given nothing that moved it for twenty of them: no submit, and
+    /// no frame that had it accept, pre-acknowledge, deliver, send a
+    /// queued payload or retransmit. The heartbeats of peers stuck the
+    /// same way change nothing and do not count.
     ///
     /// # Errors
     ///
@@ -267,10 +297,10 @@ impl<C: DeliveryCore, O: Observer> Node<C, O> {
 
     fn drive(&mut self, host: &mut impl Host<C, O>) {
         let mut shutting_down = false;
-        // Input is a frame or a submit; activity is input or a timer that
-        // had something to send.
-        let mut last_input = Instant::now();
-        let mut last_activity = last_input;
+        // Progress is a submit or a drain that moved the entity; activity
+        // is any frame, a submit, or a timer that had something to send.
+        let mut last_progress = Instant::now();
+        let mut last_activity = last_progress;
         loop {
             let now = now_us(self.epoch);
             let mut deadline = self.entity.next_deadline(now);
@@ -286,12 +316,13 @@ impl<C: DeliveryCore, O: Observer> Node<C, O> {
             host.turn(&self.entity);
             let mut wait = DRAIN_IDLE;
             if shutting_down {
-                // A node that cannot quiesce keeps its heartbeat up, which
-                // is activity: it is given up on by lack of input alone.
+                // A node that cannot quiesce keeps its heartbeat up, and so
+                // do its peers in the same state: that is activity at both
+                // ends for ever, so it is given up on by lack of progress.
                 let left = if self.entity.is_quiescent() {
                     DRAIN_IDLE.checked_sub(last_activity.elapsed())
                 } else {
-                    (DRAIN_IDLE * HARD_EXIT_IDLE_WINDOWS).checked_sub(last_input.elapsed())
+                    (DRAIN_IDLE * HARD_EXIT_IDLE_WINDOWS).checked_sub(last_progress.elapsed())
                 };
                 match left {
                     Some(left) if !left.is_zero() => wait = left,
@@ -301,12 +332,10 @@ impl<C: DeliveryCore, O: Observer> Node<C, O> {
             if let Some(due) = deadline {
                 wait = wait.min(Duration::from_micros(due.saturating_sub(now)));
             }
+            // `Some(progress)` for a frame or a submit.
             let input = crossbeam::channel::select! {
                 recv(self.inbox) -> raw => {
-                    raw.is_ok_and(|raw| {
-                        self.drain(raw, host);
-                        true
-                    })
+                    raw.ok().map(|raw| self.drain(raw, host))
                 }
                 recv(self.cmds) -> cmd => {
                     match cmd {
@@ -316,19 +345,21 @@ impl<C: DeliveryCore, O: Observer> Node<C, O> {
                             // counted in the entity's metrics.
                             let _ = self.entity.submit_with(payload, now, &mut self.actions);
                             self.dispatch(host);
-                            true
+                            Some(true)
                         }
                         Ok(Cmd::Shutdown) | Err(_) => {
                             shutting_down = true;
-                            false
+                            None
                         }
                     }
                 }
-                default(wait) => { false }
+                default(wait) => { None }
             };
-            if input {
-                last_input = Instant::now();
-                last_activity = last_input;
+            if let Some(progress) = input {
+                last_activity = Instant::now();
+                if progress {
+                    last_progress = last_activity;
+                }
             }
         }
     }
@@ -355,7 +386,7 @@ mod tests {
     use super::*;
     use causal_order::{EntityId, Seq};
     use co_observe::NoopObserver;
-    use co_protocol::{CoCore, DataPdu};
+    use co_protocol::{AckOnlyPdu, CoCore, DataPdu};
     use std::sync::atomic::AtomicBool;
 
     /// Publishes the two counters the test watches, once per loop turn.
@@ -450,5 +481,104 @@ mod tests {
         let (outcome, quiescent) = thread.join().unwrap();
         assert_eq!(outcome, Ok(()));
         assert!(!quiescent, "E0 still holds what E2 never confirmed");
+    }
+
+    /// Hears nothing and keeps nothing.
+    struct Deaf;
+
+    impl Host<CoCore, NoopObserver> for Deaf {
+        fn deliver(&mut self, _: Delivery, _: u64) {}
+    }
+
+    /// What keeps a node that cannot quiesce waiting: a confirmation from
+    /// a slow but live peer that takes a held PDU a stage further counts
+    /// although nothing is accepted or delivered by it; the same frame
+    /// again tells the node nothing and does not.
+    #[test]
+    fn a_confirmation_is_progress_only_while_it_moves_a_held_pdu() {
+        const N: usize = 3;
+        let options = ClusterOptions::default();
+        let config = options.config(N, EntityId::new(0)).unwrap();
+        let entity = Entity::<CoCore, _>::with_observer(config, NoopObserver).unwrap();
+        let (own, rx) = Inbox::new(options.inbox_capacity);
+        let peers: Vec<_> = (1..N).map(|_| Inbox::new(1)).collect();
+        let link = Link::Mesh(peers.iter().map(|(tx, _)| tx.clone()).collect());
+        let (mut node, _commands) = Node::new(entity, (own, rx), link, Instant::now(), &options);
+
+        assert!(node.drain(data(1, 1, N), &mut Deaf), "accepted");
+        let received_by_e2 = Pdu::AckOnly(AckOnlyPdu {
+            cid: 1,
+            src: EntityId::new(2),
+            ack: vec![Seq::FIRST, Seq::new(2), Seq::FIRST],
+            packed: vec![Seq::FIRST; N],
+            acked: vec![Seq::FIRST; N],
+            buf: 1 << 20,
+        })
+        .encode();
+        let before = *node.entity.metrics();
+        assert!(node.drain(received_by_e2.clone(), &mut Deaf));
+        let after = *node.entity.metrics();
+        assert_eq!(after.pre_acknowledged(), before.pre_acknowledged() + 1);
+        assert_eq!(
+            (after.accepted(), after.delivered()),
+            (before.accepted(), before.delivered())
+        );
+        assert!(!node.entity.is_quiescent());
+        assert!(!node.drain(received_by_e2, &mut Deaf), "nothing new");
+    }
+
+    /// Two survivors of three must not keep each other alive. E2 never
+    /// starts, so after E0's one broadcast neither E0 nor E1 can quiesce;
+    /// both keep their heartbeats up, and each hears the other's for as
+    /// long as it runs. Those frames change nothing, so both still take
+    /// the hard exit.
+    #[test]
+    fn survivors_of_a_dead_peer_do_not_keep_each_other_from_the_hard_exit() {
+        const N: usize = 3;
+        let options = ClusterOptions::default();
+        let epoch = Instant::now();
+        let (inboxes, mut receivers): (Vec<_>, Vec<_>) =
+            (0..N).map(|_| Inbox::new(options.inbox_capacity)).unzip();
+        let dead_inbox = receivers.pop().unwrap();
+        let (returned_tx, returned) = std::sync::mpsc::channel();
+        let (mut commands, mut threads) = (Vec::new(), Vec::new());
+        for (me, rx) in receivers.into_iter().enumerate() {
+            let config = options.config(N, EntityId::new(me as u32)).unwrap();
+            let entity = Entity::<CoCore, _>::with_observer(config, NoopObserver).unwrap();
+            let peers = (0..N).filter(|&i| i != me);
+            let link = Link::Mesh(peers.map(|i| inboxes[i].clone()).collect());
+            let inbox = (inboxes[me].clone(), rx);
+            let (mut node, cmds) = Node::new(entity, inbox, link, epoch, &options);
+            commands.push(cmds);
+            let returned_tx = returned_tx.clone();
+            threads.push(std::thread::spawn(move || {
+                let outcome = node.run(&mut Deaf);
+                let _ = returned_tx.send(());
+                (outcome, node.entity.is_quiescent(), *node.entity.metrics())
+            }));
+        }
+        // E0's commands are served in order, and its frame reaches E1 well
+        // inside the drain window E1 would otherwise leave after.
+        assert!(commands[0].submit(Bytes::from_static(b"once")));
+        drop(commands);
+
+        // The watchdog: a survivor that never returns must fail the test,
+        // not hang it.
+        let allowed = 2 * DRAIN_IDLE * HARD_EXIT_IDLE_WINDOWS;
+        let deadline = Instant::now() + allowed;
+        for _ in 0..2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                returned.recv_timeout(left).is_ok(),
+                "a survivor was still running {allowed:?} after the shutdown request"
+            );
+        }
+        for (me, thread) in threads.into_iter().enumerate() {
+            let (outcome, quiescent, metrics) = thread.join().unwrap();
+            assert_eq!(outcome, Ok(()), "E{me}");
+            assert!(!quiescent, "E{me} still holds what E2 never confirmed");
+            assert!(metrics.ack_only_sent() > 0, "E{me} kept its heartbeat up");
+        }
+        assert!(dead_inbox.try_recv().is_ok(), "E2 was sent to all along");
     }
 }
