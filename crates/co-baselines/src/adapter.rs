@@ -1,4 +1,5 @@
-//! Glue between any [`Broadcaster`] and the `mc-net` simulator.
+//! Glue between a [`Broadcaster`] comparator and the `mc-net` simulator
+//! (an [`co_protocol::Entity`] is hosted by [`crate::EntityNode`] instead).
 
 use bytes::Bytes;
 use causal_order::EntityId;
@@ -116,109 +117,8 @@ impl<B: Broadcaster> SimNode for BroadcasterNode<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::co::CoBroadcaster;
     use crate::isis::CbcastEntity;
-    use co_protocol::{Config, DeferralPolicy};
     use mc_net::{SimConfig, Simulator};
-
-    fn co_cluster(n: usize) -> Simulator<BroadcasterNode<CoBroadcaster>> {
-        let nodes = (0..n)
-            .map(|i| {
-                let cfg = Config::builder(0, n, EntityId::new(i as u32))
-                    .deferral(DeferralPolicy::Deferred { timeout_us: 2_000 })
-                    .build()
-                    .unwrap();
-                BroadcasterNode::new(CoBroadcaster::new(cfg).unwrap())
-            })
-            .collect();
-        Simulator::new(SimConfig::default(), nodes)
-    }
-
-    #[test]
-    fn co_over_simulator_delivers_everywhere() {
-        let mut sim = co_cluster(3);
-        sim.schedule_command(
-            SimTime::ZERO,
-            EntityId::new(0),
-            Bytes::from_static(b"hello"),
-        );
-        sim.run_until_idle();
-        for (id, node) in sim.nodes() {
-            assert_eq!(node.delivery_log(), vec![(EntityId::new(0), 1)], "at {id}");
-            assert_eq!(node.delivered()[0].data, Bytes::from_static(b"hello"));
-        }
-    }
-
-    #[test]
-    fn co_over_simulator_keeps_causal_order() {
-        let mut sim = co_cluster(3);
-        // Chain: E1 sends, then (well after delivery) E2 sends, etc.
-        sim.schedule_command(SimTime::ZERO, EntityId::new(0), Bytes::from_static(b"a"));
-        sim.schedule_command(
-            SimTime::from_millis(50),
-            EntityId::new(1),
-            Bytes::from_static(b"b"),
-        );
-        sim.schedule_command(
-            SimTime::from_millis(100),
-            EntityId::new(2),
-            Bytes::from_static(b"c"),
-        );
-        sim.run_until_idle();
-        for (id, node) in sim.nodes() {
-            assert_eq!(
-                node.delivery_log(),
-                vec![
-                    (EntityId::new(0), 1),
-                    (EntityId::new(1), 1),
-                    (EntityId::new(2), 1)
-                ],
-                "at {id}"
-            );
-        }
-    }
-
-    #[test]
-    fn timestamps_are_recorded() {
-        let mut sim = co_cluster(2);
-        sim.schedule_command(SimTime::ZERO, EntityId::new(0), Bytes::from_static(b"x"));
-        sim.run_until_idle();
-        let node = sim.node(EntityId::new(1));
-        assert_eq!(node.delivered().len(), 1);
-        assert!(node.delivered()[0].at > SimTime::ZERO);
-        let sender = sim.node(EntityId::new(0));
-        assert_eq!(sender.submitted().len(), 1);
-    }
-
-    #[test]
-    fn wire_round_trip_preserves_broadcaster_pdus() {
-        // The adapter hands PDUs to the simulator as typed values; the only
-        // encoder/decoder in the workspace is co-wire. Pin encode∘decode as
-        // the identity on every PDU the cores emit, so a datagram transport
-        // can interpose on this adapter without growing a second codec.
-        use co_protocol::{HybridCore, Pdu, SenderCore};
-
-        fn check<C: co_protocol::DeliveryCore>() {
-            let cfg = Config::builder(0, 2, EntityId::new(0))
-                .deferral(DeferralPolicy::Immediate)
-                .build()
-                .unwrap();
-            let mut b = crate::co::CoreBroadcaster::<C>::new(cfg).unwrap();
-            let outs = b.on_app(Bytes::from_static(b"payload"), 0);
-            let mut checked = 0;
-            for out in outs {
-                if let Out::Broadcast(pdu) = out {
-                    let decoded = Pdu::decode(&pdu.encode()).expect("decodes");
-                    assert_eq!(decoded, pdu, "core {} wire round-trip", C::NAME);
-                    checked += 1;
-                }
-            }
-            assert!(checked > 0, "core {} broadcast nothing", C::NAME);
-        }
-        check::<co_protocol::CoCore>();
-        check::<HybridCore>();
-        check::<SenderCore>();
-    }
 
     #[test]
     fn isis_over_simulator_reliable_network() {

@@ -1,279 +1,119 @@
-//! The **PO/LO** baseline [16]: locally-ordering broadcast — per-source
-//! FIFO delivery and nothing more. Out-of-order PDUs are buffered and gaps
-//! reclaimed by a selective NACK to the source, but *no* cross-source
-//! ordering is enforced: this provides the paper's LO service (§1), the
-//! weakest of the three, and serves as the "how much does causal ordering
-//! cost over plain FIFO" comparison point.
+//! The **PO/LO** comparator [16] as a delivery core: per-source FIFO
+//! delivery and nothing else — deliver on in-order acceptance, no send
+//! gate, no causal buffer. This is the paper's LO service (§1), the
+//! weakest of the three, and the "how much does causal ordering cost over
+//! plain FIFO" comparison point. Everything hard (F1/F2 detection, `RET`
+//! repair, reorder buffering, flow control, confirmation pacing) is the
+//! [`ReliableFifo`] substrate's, shared with the causal cores, so what a
+//! race against them measures is the ordering policy alone.
 
-use bytes::Bytes;
-use causal_order::EntityId;
-use std::collections::BTreeMap;
+use causal_order::Seq;
+use co_protocol::{
+    ActionSink, Config, ConfigError, DataPdu, DeliveryCore, Observer, Out, Pdu, ReliableFifo,
+};
 
-use crate::traits::{AppDelivery, Broadcaster, Out};
-
-/// Messages of the FIFO baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FifoMsg {
-    /// A broadcast payload.
-    Data {
-        /// Sender.
-        src: EntityId,
-        /// Sender-local sequence number, starting at 1.
-        seq: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// Selective retransmission request for `[from, to)` from `src`.
-    Nack {
-        /// Whose PDUs are missing.
-        src: EntityId,
-        /// First missing sequence number.
-        from: u64,
-        /// One past the last missing sequence number.
-        to: u64,
-    },
-}
-
-/// One entity of the FIFO baseline.
+/// FIFO-only ordering policy. Its whole knowledge is what each peer has
+/// confirmed of *our* PDUs: the flow-window base, the send-log prune
+/// bound and the stability test.
 #[derive(Debug)]
-pub struct FifoEntity {
-    me: EntityId,
-    n: usize,
-    /// Next own sequence number to assign.
-    next_seq: u64,
-    /// Next expected from each source.
-    expected: Vec<u64>,
-    /// Own sent history for retransmission.
-    history: Vec<FifoMsg>,
-    /// Out-of-order buffer per source.
-    held: Vec<BTreeMap<u64, Bytes>>,
-    /// Retransmissions served.
-    pub retransmissions_sent: u64,
+pub struct FifoCore {
+    me: usize,
+    /// Highest `ack[me]` seen from each peer (own entry unused).
+    peer_ack_of_me: Vec<Seq>,
 }
 
-impl FifoEntity {
-    /// Creates entity `me` of a cluster of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `me` is out of range.
-    pub fn new(me: EntityId, n: usize) -> Self {
-        assert!(n >= 2 && me.index() < n, "invalid cluster");
-        FifoEntity {
-            me,
-            n,
-            next_seq: 1,
-            expected: vec![1; n],
-            history: Vec::new(),
-            held: (0..n).map(|_| BTreeMap::new()).collect(),
-            retransmissions_sent: 0,
+impl FifoCore {
+    fn min_ack_of_me(&self, fifo: &ReliableFifo) -> Seq {
+        (0..self.peer_ack_of_me.len())
+            .map(|j| {
+                if j == self.me {
+                    fifo.frontier()[j]
+                } else {
+                    self.peer_ack_of_me[j]
+                }
+            })
+            .min()
+            .expect("n >= 2")
+    }
+}
+
+impl DeliveryCore for FifoCore {
+    type State = Vec<Seq>;
+
+    const NAME: &'static str = "fifo";
+
+    fn new(config: &Config) -> Self {
+        FifoCore {
+            me: config.me.index(),
+            peer_ack_of_me: vec![Seq::FIRST; config.n()],
         }
     }
 
-    /// PDUs currently buffered out of order.
-    pub fn held_messages(&self) -> usize {
-        self.held.iter().map(BTreeMap::len).sum()
-    }
-}
-
-impl Broadcaster for FifoEntity {
-    type Msg = FifoMsg;
-
-    fn id(&self) -> EntityId {
-        self.me
+    fn restore(config: &Config, state: Vec<Seq>) -> Result<Self, ConfigError> {
+        ConfigError::check_len("peer_ack_of_me", state.len(), config.n())?;
+        Ok(FifoCore {
+            me: config.me.index(),
+            peer_ack_of_me: state,
+        })
     }
 
-    fn on_app(&mut self, data: Bytes, _now_us: u64) -> Vec<Out<FifoMsg>> {
-        let msg = FifoMsg::Data {
-            src: self.me,
-            seq: self.next_seq,
-            data: data.clone(),
-        };
-        self.next_seq += 1;
-        self.history.push(msg.clone());
-        vec![
-            Out::Broadcast(msg),
-            Out::Deliver(AppDelivery {
-                origin: self.me,
-                origin_seq: self.next_seq - 1,
-                data,
-            }),
-        ]
+    fn export_state(&self) -> Vec<Seq> {
+        self.peer_ack_of_me.clone()
     }
 
-    fn on_msg(&mut self, from: EntityId, msg: FifoMsg, _now_us: u64) -> Vec<Out<FifoMsg>> {
-        let mut outs = Vec::new();
-        match msg {
-            FifoMsg::Data { src, seq, data } => {
-                if src.index() >= self.n {
-                    return outs;
-                }
-                let exp = &mut self.expected[src.index()];
-                if seq < *exp {
-                    return outs; // duplicate
-                }
-                if seq > *exp {
-                    // Gap: buffer and selectively NACK the missing prefix.
-                    let first_held = self.held[src.index()].keys().next().copied().unwrap_or(seq);
-                    self.held[src.index()].insert(seq, data);
-                    outs.push(Out::Send(
-                        src,
-                        FifoMsg::Nack {
-                            src,
-                            from: *exp,
-                            to: first_held.min(seq),
-                        },
-                    ));
-                    return outs;
-                }
-                *exp += 1;
-                outs.push(Out::Deliver(AppDelivery {
-                    origin: src,
-                    origin_seq: seq,
-                    data,
-                }));
-                // Drain the consecutive run.
-                loop {
-                    let exp_now = self.expected[src.index()];
-                    match self.held[src.index()].remove(&exp_now) {
-                        Some(data) => {
-                            self.expected[src.index()] += 1;
-                            outs.push(Out::Deliver(AppDelivery {
-                                origin: src,
-                                origin_seq: exp_now,
-                                data,
-                            }));
-                        }
-                        None => break,
-                    }
-                }
-            }
-            FifoMsg::Nack {
-                src,
-                from: lo,
-                to: hi,
-            } => {
-                if src == self.me {
-                    for m in &self.history {
-                        if let FifoMsg::Data { seq, .. } = m {
-                            if *seq >= lo && *seq < hi {
-                                self.retransmissions_sent += 1;
-                                outs.push(Out::Send(from, m.clone()));
-                            }
-                        }
-                    }
-                }
-            }
+    fn observe(&mut self, pdu: &Pdu, fifo: &mut ReliableFifo) -> bool {
+        let confirmed = pdu.ack()[self.me];
+        let slot = &mut self.peer_ack_of_me[pdu.src().index()];
+        if confirmed > *slot {
+            *slot = confirmed;
+            let everywhere = self.min_ack_of_me(fifo);
+            fifo.prune_send_log(everywhere);
         }
-        outs
+        // A confirmation whose sender misses data we hold, or whose view
+        // of our confirmations (`acked`) is stale, is owed a refresher.
+        let Pdu::AckOnly(a) = pdu else { return false };
+        let next = fifo.frontier();
+        (0..next.len()).any(|j| a.ack[j] < next[j] || a.acked[j] < next[j])
     }
 
-    fn is_quiescent(&self) -> bool {
-        self.held_messages() == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn e(i: u32) -> EntityId {
-        EntityId::new(i)
+    fn accept<O: Observer, S: ActionSink>(
+        &mut self,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
+    ) {
+        fifo.deliver(p, out);
     }
 
-    fn deliveries(outs: &[Out<FifoMsg>]) -> Vec<(u32, u64)> {
-        outs.iter()
-            .filter_map(|o| match o {
-                Out::Deliver(d) => Some((d.origin.raw(), d.origin_seq)),
-                _ => None,
-            })
-            .collect()
+    fn sent<O: Observer, S: ActionSink>(
+        &mut self,
+        p: DataPdu,
+        fifo: &mut ReliableFifo,
+        out: &mut Out<'_, O, S>,
+    ) {
+        fifo.note_accepted(p.src, p.seq, false, out);
+        fifo.deliver(p, out);
     }
 
-    fn data_of(outs: &[Out<FifoMsg>]) -> FifoMsg {
-        outs.iter()
-            .find_map(|o| match o {
-                Out::Broadcast(m) => Some(m.clone()),
-                _ => None,
-            })
-            .unwrap()
+    fn confirmed_of_me(&self, fifo: &ReliableFifo) -> Seq {
+        self.min_ack_of_me(fifo)
     }
 
-    #[test]
-    fn in_order_delivery() {
-        let mut a = FifoEntity::new(e(0), 2);
-        let mut b = FifoEntity::new(e(1), 2);
-        let m1 = data_of(&a.on_app(Bytes::from_static(b"1"), 0));
-        let m2 = data_of(&a.on_app(Bytes::from_static(b"2"), 0));
-        assert_eq!(deliveries(&b.on_msg(e(0), m1, 0)), vec![(0, 1)]);
-        assert_eq!(deliveries(&b.on_msg(e(0), m2, 0)), vec![(0, 2)]);
+    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+        let mut acked = fifo.frontier().to_vec();
+        acked[self.me] = self.min_ack_of_me(fifo);
+        (fifo.frontier().to_vec(), acked)
     }
 
-    #[test]
-    fn gap_buffers_nacks_and_recovers_selectively() {
-        let mut a = FifoEntity::new(e(0), 2);
-        let mut b = FifoEntity::new(e(1), 2);
-        let _m1 = data_of(&a.on_app(Bytes::from_static(b"1"), 0));
-        let m2 = data_of(&a.on_app(Bytes::from_static(b"2"), 0));
-        let outs = b.on_msg(e(0), m2, 0);
-        assert!(deliveries(&outs).is_empty());
-        assert_eq!(b.held_messages(), 1);
-        let Out::Send(to, nack) = &outs[0] else {
-            panic!()
-        };
-        assert_eq!(*to, e(0));
-        assert_eq!(
-            *nack,
-            FifoMsg::Nack {
-                src: e(0),
-                from: 1,
-                to: 2
-            }
-        );
-        // Source resends exactly seq 1.
-        let resent = a.on_msg(e(1), nack.clone(), 0);
-        assert_eq!(resent.len(), 1);
-        assert_eq!(a.retransmissions_sent, 1);
-        let Out::Send(_, m1_again) = &resent[0] else {
-            panic!()
-        };
-        assert_eq!(
-            deliveries(&b.on_msg(e(0), m1_again.clone(), 0)),
-            vec![(0, 1), (0, 2)]
-        );
-        assert!(b.is_quiescent());
+    fn held(&self) -> usize {
+        0
     }
 
-    #[test]
-    fn no_cross_source_ordering() {
-        // The LO service does not reorder across sources: deliveries happen
-        // in arrival order even when causality says otherwise.
-        let mut e1 = FifoEntity::new(e(0), 3);
-        let mut e2 = FifoEntity::new(e(1), 3);
-        let mut e3 = FifoEntity::new(e(2), 3);
-        let m1 = data_of(&e1.on_app(Bytes::from_static(b"m1"), 0));
-        e2.on_msg(e(0), m1.clone(), 0);
-        let m2 = data_of(&e2.on_app(Bytes::from_static(b"m2"), 0)); // causally after m1
-                                                                    // e3 receives m2 first: the FIFO protocol happily delivers it
-                                                                    // before its cause — exactly the violation the CO protocol exists
-                                                                    // to prevent.
-        assert_eq!(deliveries(&e3.on_msg(e(1), m2, 0)), vec![(1, 1)]);
-        assert_eq!(deliveries(&e3.on_msg(e(0), m1, 0)), vec![(0, 1)]);
+    fn state_bytes(&self, n: usize) -> usize {
+        n * std::mem::size_of::<Seq>()
     }
 
-    #[test]
-    fn duplicates_dropped() {
-        let mut a = FifoEntity::new(e(0), 2);
-        let mut b = FifoEntity::new(e(1), 2);
-        let m1 = data_of(&a.on_app(Bytes::from_static(b"1"), 0));
-        assert_eq!(deliveries(&b.on_msg(e(0), m1.clone(), 0)).len(), 1);
-        assert!(deliveries(&b.on_msg(e(0), m1, 0)).is_empty());
-    }
-
-    #[test]
-    fn self_delivery_immediate() {
-        let mut a = FifoEntity::new(e(0), 2);
-        let outs = a.on_app(Bytes::from_static(b"own"), 0);
-        assert_eq!(deliveries(&outs), vec![(0, 1)]);
+    fn is_stable(&self, fifo: &ReliableFifo) -> bool {
+        self.min_ack_of_me(fifo) >= fifo.frontier()[self.me]
     }
 }

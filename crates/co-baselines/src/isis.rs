@@ -115,10 +115,6 @@ impl CbcastEntity {
 impl Broadcaster for CbcastEntity {
     type Msg = CbcastMsg;
 
-    fn id(&self) -> EntityId {
-        self.me
-    }
-
     fn on_app(&mut self, data: Bytes, _now_us: u64) -> Vec<Out<CbcastMsg>> {
         self.vt.tick(self.me);
         let msg = CbcastMsg {

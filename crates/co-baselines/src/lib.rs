@@ -1,37 +1,41 @@
-//! Comparator protocols from the paper's related work (§1, §5), behind a
-//! common [`Broadcaster`] trait so the simulator and the experiment harness
-//! can drive any of them interchangeably:
+//! The simulator side of the paper's evaluation (§1, §5): the one node
+//! that hosts a protocol entity on `mc-net`, and the comparator protocols
+//! the CO protocol is raced against.
 //!
-//! * [`CbcastEntity`] — the **ISIS CBCAST** causal broadcast the paper
-//!   compares against: virtual (vector) clocks over a *reliable* transport.
-//!   More per-PDU computation, and — the paper's key point — virtual clocks
-//!   cannot detect PDU loss: under loss this entity silently stalls.
+//! * [`EntityNode`] — hosts an [`co_protocol::Entity`] running any
+//!   [`co_protocol::DeliveryCore`] under any observer on the simulator and
+//!   keeps one ordered application log ([`AppEvent`]). The checker, the
+//!   experiments, the examples and the root tests all go through it.
+//! * [`FifoCore`] — the **PO/LO** protocol [16] as the fourth delivery
+//!   core: per-source FIFO only, the weakest of the three services of §1,
+//!   over the same `ReliableFifo` substrate as the causal cores.
+//!
+//! Two comparators keep their own reliability substrate, because that
+//! substrate *is* the comparison; they sit behind [`Broadcaster`] and run
+//! on the simulator through [`BroadcasterNode`]:
+//!
+//! * [`CbcastEntity`] — the **ISIS CBCAST** causal broadcast: virtual
+//!   (vector) clocks over a transport *assumed* reliable. More per-PDU
+//!   computation, and — the paper's key point — virtual clocks cannot
+//!   detect PDU loss: under loss this entity silently stalls.
 //! * [`SequencerEntity`] — a **TO (totally ordering)** protocol in the style
 //!   of [14, 15]: a fixed sequencer assigns a global sequence; receivers use
 //!   **go-back-n** retransmission (§5 contrasts this with the CO protocol's
 //!   selective scheme).
-//! * [`FifoEntity`] — the **PO/LO** protocol [16]: per-source FIFO only, the
-//!   weakest of the three services of §1.
-//! * [`CoreBroadcaster`] — any [`co_protocol::DeliveryCore`] engine wrapped
-//!   in the same trait: [`CoBroadcaster`] (the CO protocol itself),
-//!   [`HybridBroadcaster`] and [`SenderBroadcaster`].
-//!
-//! [`BroadcasterNode`] plugs any of them into the `mc-net` simulator and
-//! records delivery logs with timestamps for the oracles and experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adapter;
-mod co;
 mod fifo;
 mod isis;
+mod node;
 mod to_seq;
 mod traits;
 
 pub use adapter::{BroadcasterNode, RecordedDelivery};
-pub use co::{CoBroadcaster, CoreBroadcaster, HybridBroadcaster, SenderBroadcaster};
-pub use fifo::{FifoEntity, FifoMsg};
+pub use fifo::FifoCore;
 pub use isis::{CbcastEntity, CbcastMsg};
+pub use node::{AppEvent, EntityNode, NodeCmd};
 pub use to_seq::{SequencerEntity, ToMsg};
 pub use traits::{AppDelivery, Broadcaster, Out};

@@ -168,10 +168,6 @@ impl SequencerEntity {
 impl Broadcaster for SequencerEntity {
     type Msg = ToMsg;
 
-    fn id(&self) -> EntityId {
-        self.me
-    }
-
     fn on_app(&mut self, data: Bytes, now_us: u64) -> Vec<Out<ToMsg>> {
         self.local_seq += 1;
         let mut outs = Vec::new();

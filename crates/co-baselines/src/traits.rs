@@ -1,4 +1,5 @@
-//! The protocol-agnostic driving interface.
+//! The driving interface of the comparators that bring their own
+//! reliability substrate.
 
 use bytes::Bytes;
 use causal_order::EntityId;
@@ -26,16 +27,14 @@ pub enum Out<M> {
     Deliver(AppDelivery),
 }
 
-/// A broadcast protocol entity, sans-IO: the same shape as the CO engine's
-/// native interface, generalized over the message type so baselines with
-/// different wire formats are interchangeable in the simulator and the
-/// experiment harness.
+/// A comparator protocol entity, sans-IO: the same shape as the CO engine's
+/// native interface, generalized over the message type. Only protocols
+/// whose *reliability substrate* is the comparison live behind it (CBCAST
+/// has none, the TO sequencer's is go-back-n); an ordering policy over the
+/// shared substrate is a [`co_protocol::DeliveryCore`] instead.
 pub trait Broadcaster {
     /// The protocol's wire message type.
     type Msg: Clone;
-
-    /// This entity's id.
-    fn id(&self) -> EntityId;
 
     /// The application submits a payload for broadcast.
     fn on_app(&mut self, data: Bytes, now_us: u64) -> Vec<Out<Self::Msg>>;

@@ -2,7 +2,7 @@
 //! `BENCH_hotpath.json` (see `results/README.md` for the schema and
 //! `src/bin/hotpath.rs` for the headless runner that writes the file).
 //!
-//! Four families are measured:
+//! Three families are measured:
 //!
 //! * `matrix/*` — incrementally maintained row minima: `fold_column`
 //!   pays for the minima it moves, `row_mins` is an O(1) borrow;
@@ -14,18 +14,16 @@
 //!   accept + per-peer fan-out of emissions) per-PDU versus through the
 //!   batched drain (`Pdu::decode_batch_into` + `Entity::on_pdus_into`),
 //!   under immediate confirmations so the per-PDU `AckOnly` storm is
-//!   priced at its real O(n²) fan-out cost;
-//! * `e2e/sim_throughput` — a full simulated broadcast round, so a
-//!   regression anywhere in the engine shows up even if the microbenches
-//!   miss it.
+//!   priced at its real O(n²) fan-out cost.
+//!
+//! A regression anywhere in the engine over a full simulated round is
+//! what the `sim-*` workloads of `BENCHMARK.json` catch.
 
 use bytes::Bytes;
 use causal_order::{EntityId, Seq};
-use co_baselines::{BroadcasterNode, CoBroadcaster};
 use co_protocol::{Action, Config, DeferralPolicy, Entity, KnowledgeMatrix, Pdu};
 use co_wire::{AckBufPool, DataPdu};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_net::{SimConfig, SimTime, Simulator};
 use std::hint::black_box;
 
 const SIZES: [usize; 4] = [4, 16, 64, 256];
@@ -237,47 +235,10 @@ fn bench_batch_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sim_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e2e/sim_throughput");
-    group.sample_size(20);
-    group.measurement_time(std::time::Duration::from_millis(1200));
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    for n in [4usize, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let nodes: Vec<BroadcasterNode<CoBroadcaster>> = (0..n)
-                    .map(|i| {
-                        let cfg = Config::builder(1, n, EntityId::new(i as u32))
-                            .deferral(DeferralPolicy::Deferred { timeout_us: 1_000 })
-                            .build()
-                            .expect("valid");
-                        BroadcasterNode::new(CoBroadcaster::new(cfg).expect("valid"))
-                    })
-                    .collect();
-                let mut sim = Simulator::new(SimConfig::default(), nodes);
-                for k in 0..20 {
-                    for s in 0..n {
-                        sim.schedule_command(
-                            SimTime::from_micros(k as u64 * 300),
-                            EntityId::new(s as u32),
-                            Bytes::from_static(b"bench-payload"),
-                        );
-                    }
-                }
-                sim.run_until_idle();
-                let delivered: usize = sim.nodes().map(|(_, node)| node.delivered().len()).sum();
-                black_box(delivered)
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_matrix,
     bench_accept_in_order,
-    bench_batch_throughput,
-    bench_sim_throughput
+    bench_batch_throughput
 );
 criterion_main!(benches);

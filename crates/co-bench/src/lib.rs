@@ -7,10 +7,12 @@
 //!   vector-clock comparison (the ISIS "more computation" claim, §5);
 //! * `acceptance_path` — one `on_pdu` acceptance through the engine vs `n`
 //!   (the O(n) per-PDU processing of Figure 8, as a microbench);
-//! * `e2e_sim` — a complete simulated broadcast round;
 //! * `hotpath` — the regression suite behind `BENCH_hotpath.json`
-//!   (matrix minima, steady-state acceptance, sim throughput; see
+//!   (matrix minima, steady-state acceptance, batched receive; see
 //!   `results/README.md` for the schema).
+//!
+//! A complete simulated broadcast round is not benchmarked here: that is
+//! what `BENCHMARK.json`'s `sim-*` workloads (`co-e2e/`) measure.
 
 #![forbid(unsafe_code)]
 

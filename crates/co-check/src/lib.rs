@@ -6,8 +6,11 @@
 //! [`co_protocol::Entity`] — running any pluggable
 //! [`co_protocol::DeliveryCore`] engine a scenario names
 //! ([`Scenario::core`] / `--core`, see
-//! [`CORE_NAMES`](crate::runner::CORE_NAMES)) — through thousands of
-//! seeded adversarial schedules on the `mc-net` simulator — timed loss bursts, link cuts,
+//! [`CORE_NAMES`](crate::runner::CORE_NAMES)), hosted by the same
+//! [`co_baselines::EntityNode`] the experiments and examples use
+//! ([`CheckNode`] is that node under the checker's observer stack) —
+//! through thousands of seeded adversarial schedules on the `mc-net`
+//! simulator — timed loss bursts, link cuts,
 //! two-sided partitions that heal, PDU duplication, host pauses that
 //! overrun the receive buffer (§2.1's loss model) and crash-restarts from
 //! a full protocol-state snapshot — and judges every run with protocol
@@ -56,8 +59,9 @@ pub mod plan;
 pub mod runner;
 pub mod shrink;
 
+pub use co_baselines::{AppEvent, NodeCmd};
 pub use co_observe::Json;
-pub use node::{AppEvent, CheckCmd, CheckNode, CheckObserver};
+pub use node::{CheckNode, CheckObserver};
 pub use oracles::{
     check, check_spans, check_stage_order, Category, CheckViolation, RunObservation,
 };

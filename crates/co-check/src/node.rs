@@ -1,272 +1,67 @@
-//! The simulator node under test: a real [`Entity`] plus event recording.
-//!
-//! [`CheckNode`] is deliberately thin — it is the same sans-IO adapter shape
-//! as `co-baselines::BroadcasterNode`, with two additions the checker
-//! needs: it records every application-level event (broadcasts and
-//! deliveries, in local order, with the oracle-facing ACK vector), and it
-//! implements the crash-restart command by round-tripping the entity
-//! through [`Entity::export_state`] / [`Entity::restore_with`].
-//!
-//! The node is generic over the [`DeliveryCore`] under test: the checker
-//! drives any engine behind the trait through the identical harness, so a
-//! verdict difference between cores is a core difference, never a harness
-//! one.
+//! The simulator node under test: `co-baselines`' [`EntityNode`] — the
+//! same node the experiments, examples and root tests host entities in,
+//! so "a verdict difference is a core difference, never a harness one"
+//! holds across all of them — running the checker's observer stack.
 //!
 //! Every entity runs with a [`CheckObserver`]: an order-sensitive FNV
 //! digest of the protocol event stream (the determinism witness — same
 //! scenario, same digest), a [`FlightRecorder`] ring of the most recent
 //! events (the black box a reproducer embeds when an oracle trips), plus
-//! an opt-in full event log for the trace-level oracles. The observer is
-//! *carried across crash-restart*: the digest and the recorder span the
-//! node's whole life, both incarnations.
+//! an opt-in full event log for the trace-level oracles. The node carries
+//! the observer *across crash-restart*: the digest and the recorder span
+//! the node's whole life, both incarnations.
 
-use bytes::Bytes;
-use causal_order::EntityId;
+use co_baselines::EntityNode;
 use co_observe::{DigestObserver, EventLog, FlightRecorder, ProtocolEvent, Tee};
-use co_protocol::{Action, CoCore, Config, DeliveryCore, Entity, Pdu};
-use mc_net::{Context, SimDuration, SimNode, TimerId};
+use co_protocol::{CoCore, Config, DeliveryCore};
 
 /// The observer a [`CheckNode`] entity runs with: event-stream digest
 /// always, flight recorder always (depth 0 disables retention), full
 /// event log only when the runner asks for a trace.
 pub type CheckObserver = Tee<DigestObserver, Tee<Option<EventLog>, FlightRecorder>>;
 
-/// A command injected by the checker's schedule.
-#[derive(Debug, Clone)]
-pub enum CheckCmd {
-    /// The application submits a payload for broadcast.
-    Submit(Bytes),
-    /// Crash the entity and restart it from a full protocol-state snapshot.
-    /// The runner pairs this with a `ClearInbox` control so volatile
-    /// receive state is lost while protocol state survives — the paper's
-    /// failure model (§2.1) is PDU loss, not amnesia.
-    Crash,
-}
+/// A protocol entity wired into the simulator under a [`CheckObserver`].
+pub type CheckNode<C = CoCore> = EntityNode<C, CheckObserver>;
 
-/// One application-level event at this node, in local order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AppEvent {
-    /// This node broadcast a *new* message (retransmissions are not
-    /// recorded: Lemma 4.2 makes them bit-identical copies).
-    Broadcast {
-        /// The per-source sequence number of the new message.
-        seq: u64,
-        /// When, µs.
-        at_us: u64,
-    },
-    /// The protocol delivered a message to this node's application.
-    Deliver {
-        /// Originating entity index.
-        src: u32,
-        /// The origin's sequence number.
-        seq: u64,
-        /// The ACK vector the origin piggybacked (§4.1) — identical at
-        /// every entity by Lemma 4.2, which the ack-integrity oracle
-        /// checks.
-        ack: Vec<u64>,
-        /// When, µs.
-        at_us: u64,
-    },
-}
-
-/// A protocol entity wired into the simulator, recording every
-/// application-level event for the oracles.
-#[derive(Debug)]
-pub struct CheckNode<C: DeliveryCore = CoCore> {
-    entity: Entity<C, CheckObserver>,
+/// Hosts a fresh entity for `config`. With `trace` set, the full protocol
+/// event stream is retained (see [`trace`]); the event digest is always
+/// computed, and a flight recorder keeps the last `recorder_depth` events
+/// (0 retains nothing).
+///
+/// # Panics
+///
+/// Panics if the configuration is rejected (checker scenarios only
+/// generate valid configurations).
+pub fn check_node<C: DeliveryCore>(
     config: Config,
-    events: Vec<AppEvent>,
-    /// Sequence number the next *fresh* broadcast will carry; used to tell
-    /// new broadcasts apart from retransmissions (both surface as
-    /// [`Action::Broadcast`] with `src == me`).
-    next_broadcast_seq: u64,
-    armed_deadline: Option<u64>,
-    /// If set, silently drop the first delivery record — an injected
-    /// delivery bug the oracles must catch (`--break-delivery`).
-    break_delivery: bool,
-    suppressed: bool,
+    trace: bool,
+    recorder_depth: usize,
+) -> CheckNode<C> {
+    let observer = Tee(
+        DigestObserver::new(),
+        Tee(
+            trace.then(EventLog::default),
+            FlightRecorder::new(recorder_depth),
+        ),
+    );
+    EntityNode::with_observer(config, observer).expect("valid scenario config")
 }
 
-impl<C: DeliveryCore> CheckNode<C> {
-    /// Wraps a fresh entity for `config`. With `trace` set, the full
-    /// protocol event stream is retained (see [`CheckNode::trace`]);
-    /// the event digest is always computed, and a flight recorder keeps
-    /// the last `recorder_depth` events (0 retains nothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is rejected (checker scenarios only
-    /// generate valid configurations).
-    pub fn new(config: Config, break_delivery: bool, trace: bool, recorder_depth: usize) -> Self {
-        let observer = Tee(
-            DigestObserver::new(),
-            Tee(
-                trace.then(EventLog::default),
-                FlightRecorder::new(recorder_depth),
-            ),
-        );
-        CheckNode {
-            entity: Entity::<C, _>::with_observer(config.clone(), observer)
-                .expect("valid scenario config"),
-            config,
-            events: Vec::new(),
-            next_broadcast_seq: 1,
-            armed_deadline: None,
-            break_delivery,
-            suppressed: false,
-        }
-    }
-
-    /// The wrapped protocol entity.
-    pub fn entity(&self) -> &Entity<C, CheckObserver> {
-        &self.entity
-    }
-
-    /// The recorded application-level events, in local order.
-    pub fn events(&self) -> &[AppEvent] {
-        &self.events
-    }
-
-    /// Order-sensitive digest of every protocol event this node emitted,
-    /// across crash-restarts. Identical digests ⇒ identical event streams.
-    pub fn event_digest(&self) -> u64 {
-        self.entity.observer().0.digest()
-    }
-
-    /// The retained protocol event stream; empty unless the node was
-    /// created with `trace` set.
-    pub fn trace(&self) -> &[ProtocolEvent] {
-        self.entity
-            .observer()
-            .1
-             .0
-            .as_ref()
-            .map_or(&[], |log| log.events())
-    }
-
-    /// The always-on flight recorder (the last `recorder_depth` events,
-    /// across crash-restarts).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.entity.observer().1 .1
-    }
-
-    fn apply(&mut self, actions: Vec<Action>, ctx: &mut Context<'_, Pdu>) {
-        let me = ctx.me();
-        for action in actions {
-            match action {
-                Action::Broadcast(pdu) => {
-                    if let Pdu::Data(ref p) = pdu {
-                        // A data PDU from me with the next fresh sequence
-                        // number is a new broadcast; anything else from me
-                        // is a retransmission.
-                        if p.src == me && p.seq.get() == self.next_broadcast_seq {
-                            self.events.push(AppEvent::Broadcast {
-                                seq: p.seq.get(),
-                                at_us: ctx.now().as_micros(),
-                            });
-                            self.next_broadcast_seq += 1;
-                        }
-                    }
-                    ctx.broadcast(pdu);
-                }
-                Action::Deliver(d) => {
-                    if self.break_delivery && !self.suppressed {
-                        self.suppressed = true;
-                        continue;
-                    }
-                    self.events.push(AppEvent::Deliver {
-                        src: d.src.index() as u32,
-                        seq: d.seq.get(),
-                        ack: d.ack.iter().map(|a| a.get()).collect(),
-                        at_us: ctx.now().as_micros(),
-                    });
-                }
-                // `Action` is #[non_exhaustive].
-                _ => {}
-            }
-        }
-        self.rearm(ctx);
-    }
-
-    fn rearm(&mut self, ctx: &mut Context<'_, Pdu>) {
-        let now = ctx.now().as_micros();
-        if let Some(deadline) = self.entity.next_deadline(now) {
-            let fire_at = deadline.max(now);
-            if self.armed_deadline.is_none_or(|armed| fire_at < armed) {
-                ctx.set_timer(SimDuration::from_micros(fire_at - now));
-                self.armed_deadline = Some(fire_at);
-            }
-        }
-    }
+/// Order-sensitive digest of every protocol event `node` emitted, across
+/// crash-restarts. Identical digests ⇒ identical event streams.
+pub fn event_digest<C: DeliveryCore>(node: &CheckNode<C>) -> u64 {
+    node.entity().observer().0.digest()
 }
 
-impl<C: DeliveryCore> SimNode for CheckNode<C> {
-    type Msg = Pdu;
-    type Cmd = CheckCmd;
+/// The retained protocol event stream; empty unless the node was created
+/// with `trace` set.
+pub fn trace<C: DeliveryCore>(node: &CheckNode<C>) -> &[ProtocolEvent] {
+    let log = &node.entity().observer().1 .0;
+    log.as_ref().map_or(&[], |log| log.events())
+}
 
-    fn msg_bytes(msg: &Pdu) -> u64 {
-        // Real wire size, so bandwidth-constrained networks charge DATA
-        // frames by payload and control frames (ACK/RET) stay cheap.
-        msg.encoded_len() as u64
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Pdu>) {
-        self.rearm(ctx);
-    }
-
-    fn on_message(&mut self, _from: EntityId, msg: Pdu, ctx: &mut Context<'_, Pdu>) {
-        let mut actions = Vec::new();
-        self.entity
-            .on_pdu(msg, ctx.now().as_micros(), &mut actions)
-            .expect("wire PDUs are well-formed in simulation");
-        self.apply(actions, ctx);
-    }
-
-    fn on_batch(&mut self, batch: &mut Vec<(EntityId, Pdu)>, ctx: &mut Context<'_, Pdu>) {
-        // Scenarios with `drain_batch > 1` push whole inbox drains through
-        // the engine's batched acceptance, so the checker's oracles cover
-        // the amortized PACK/ACK path too.
-        let mut actions = Vec::new();
-        let outcome = self.entity.on_pdus_into(
-            batch.drain(..).map(|(_, msg)| msg),
-            ctx.now().as_micros(),
-            &mut actions,
-        );
-        assert_eq!(
-            outcome.rejected, 0,
-            "wire PDUs are well-formed in simulation"
-        );
-        self.apply(actions, ctx);
-    }
-
-    fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Pdu>) {
-        self.armed_deadline = None;
-        let actions = self.entity.on_tick(ctx.now().as_micros());
-        self.apply(actions, ctx);
-    }
-
-    fn on_command(&mut self, cmd: CheckCmd, ctx: &mut Context<'_, Pdu>) {
-        match cmd {
-            CheckCmd::Submit(data) => {
-                let (_, actions) = self
-                    .entity
-                    .submit(data, ctx.now().as_micros())
-                    .expect("scenario payloads fit the configured maximum");
-                self.apply(actions, ctx);
-            }
-            CheckCmd::Crash => {
-                // Protocol state survives (export → restore); armed timers
-                // belong to the dead incarnation, so forget them and re-arm
-                // from the restored entity's own deadlines. The observer is
-                // external instrumentation, not protocol state: it outlives
-                // the incarnation so the digest covers the whole node life.
-                let state = self.entity.export_state();
-                let observer = std::mem::take(self.entity.observer_mut());
-                self.entity = Entity::restore_with(self.config.clone(), state, observer)
-                    .expect("own exported state always restores");
-                self.armed_deadline = None;
-                self.rearm(ctx);
-            }
-        }
-    }
+/// The always-on flight recorder (the last `recorder_depth` events, across
+/// crash-restarts).
+pub fn recorder<C: DeliveryCore>(node: &CheckNode<C>) -> &FlightRecorder {
+    &node.entity().observer().1 .1
 }

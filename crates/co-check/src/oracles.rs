@@ -1,7 +1,7 @@
 //! Protocol oracles: what a correct CO-protocol run must look like.
 //!
 //! The oracles judge a run purely from the application-level events the
-//! [`crate::node::CheckNode`]s recorded — never from the engine's own
+//! [`crate::node::CheckNode`]s logged — never from the engine's own
 //! bookkeeping — so an engine bug cannot hide itself. They are:
 //!
 //! * **Safety** (§2.2/§2.3, via `causal_order::properties::RunTrace`):
@@ -31,10 +31,9 @@
 use std::collections::HashMap;
 
 use causal_order::properties::{RunTrace, Violation as TraceViolation};
-use causal_order::{EntityId, MsgId};
+use causal_order::{EntityId, MsgId, Seq};
+use co_baselines::AppEvent;
 use co_observe::ProtocolEvent;
-
-use crate::node::AppEvent;
 
 /// Multiplier folding `(src, seq)` into a [`MsgId`]: `src * SRC_STRIDE +
 /// seq`. Sequence numbers stay far below this in any bounded run.
@@ -135,8 +134,8 @@ fn msg_label(m: MsgId) -> String {
 /// What the runner observed, handed to [`check`].
 #[derive(Debug)]
 pub struct RunObservation<'a> {
-    /// Per-node recorded events, in each node's local order.
-    pub events: &'a [Vec<AppEvent>],
+    /// Per-node logged events, in each node's local order.
+    pub events: &'a [&'a [AppEvent]],
     /// Whether the simulator drained its queue within the event budget.
     pub quiesced: bool,
     /// Whether every entity reported `is_fully_stable()` at the end.
@@ -312,18 +311,20 @@ pub fn check_spans(traces: &[Vec<ProtocolEvent>]) -> Vec<CheckViolation> {
 }
 
 /// §2.2/§2.3 safety via the ground-truth [`RunTrace`] oracle.
-fn check_safety(events: &[Vec<AppEvent>], out: &mut Vec<CheckViolation>) {
+fn check_safety(events: &[&[AppEvent]], out: &mut Vec<CheckViolation>) {
     let mut trace = RunTrace::new(events.len());
     for (i, node_events) in events.iter().enumerate() {
         let entity = EntityId::new(i as u32);
-        for event in node_events {
+        for event in *node_events {
             match event {
                 AppEvent::Broadcast { seq, .. } => {
-                    trace.record_broadcast(entity, msg_id(i as u32, *seq));
+                    trace.record_broadcast(entity, msg_id(i as u32, seq.get()));
                 }
-                AppEvent::Deliver { src, seq, .. } => {
-                    trace.record_delivery(entity, msg_id(*src, *seq));
+                AppEvent::Deliver { delivery: d, .. } => {
+                    trace.record_delivery(entity, msg_id(d.src.raw(), d.seq.get()));
                 }
+                // What the oracles order is the broadcast, not the request.
+                AppEvent::Submit { .. } => {}
             }
         }
     }
@@ -382,36 +383,31 @@ fn classify_trace_violation(v: TraceViolation) -> CheckViolation {
 }
 
 /// Lemma 4.2: every entity observes the identical ACK vector per message.
-fn check_ack_integrity(events: &[Vec<AppEvent>], out: &mut Vec<CheckViolation>) {
-    let mut first_seen: HashMap<MsgId, (usize, Vec<u64>)> = HashMap::new();
+fn check_ack_integrity(events: &[&[AppEvent]], out: &mut Vec<CheckViolation>) {
+    let mut first_seen: HashMap<MsgId, (usize, &[Seq])> = HashMap::new();
     let mut flagged: Vec<MsgId> = Vec::new();
+    let raw = |ack: &[Seq]| ack.iter().map(|a| a.get()).collect::<Vec<u64>>();
     for (i, node_events) in events.iter().enumerate() {
-        for event in node_events {
-            let AppEvent::Deliver { src, seq, ack, .. } = event else {
+        for event in *node_events {
+            let AppEvent::Deliver { delivery: d, .. } = event else {
                 continue;
             };
-            let m = msg_id(*src, *seq);
-            match first_seen.get(&m) {
-                None => {
-                    first_seen.insert(m, (i, ack.clone()));
-                }
-                Some((first_node, first_ack)) => {
-                    if first_ack != ack && !flagged.contains(&m) {
-                        flagged.push(m);
-                        out.push(CheckViolation {
-                            category: Category::AckIntegrity,
-                            detail: format!(
-                                "{} carried ack {:?} at E{} but {:?} at E{} \
-                                 (Lemma 4.2: retransmissions must be bit-identical)",
-                                msg_label(m),
-                                first_ack,
-                                first_node + 1,
-                                ack,
-                                i + 1
-                            ),
-                        });
-                    }
-                }
+            let m = msg_id(d.src.raw(), d.seq.get());
+            let (first_node, first_ack) = *first_seen.entry(m).or_insert((i, &d.ack));
+            if first_ack != d.ack && !flagged.contains(&m) {
+                flagged.push(m);
+                out.push(CheckViolation {
+                    category: Category::AckIntegrity,
+                    detail: format!(
+                        "{} carried ack {:?} at E{} but {:?} at E{} \
+                         (Lemma 4.2: retransmissions must be bit-identical)",
+                        msg_label(m),
+                        raw(first_ack),
+                        first_node + 1,
+                        raw(&d.ack),
+                        i + 1
+                    ),
+                });
             }
         }
     }
@@ -420,26 +416,38 @@ fn check_ack_integrity(events: &[Vec<AppEvent>], out: &mut Vec<CheckViolation>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_net::SimTime;
 
     fn deliver(src: u32, seq: u64, ack: Vec<u64>) -> AppEvent {
         AppEvent::Deliver {
-            src,
-            seq,
-            ack,
-            at_us: 0,
+            delivery: co_protocol::Delivery {
+                src: EntityId::new(src),
+                seq: Seq::new(seq),
+                ack: ack.into_iter().map(Seq::new).collect(),
+                data: bytes::Bytes::new(),
+            },
+            at: SimTime::ZERO,
         }
     }
 
     fn broadcast(seq: u64) -> AppEvent {
-        AppEvent::Broadcast { seq, at_us: 0 }
+        AppEvent::Broadcast {
+            seq: Seq::new(seq),
+            at: SimTime::ZERO,
+        }
+    }
+
+    fn judge(events: &[Vec<AppEvent>], quiesced: bool, all_stable: bool) -> Vec<CheckViolation> {
+        let events: Vec<&[AppEvent]> = events.iter().map(Vec::as_slice).collect();
+        check(&RunObservation {
+            events: &events,
+            quiesced,
+            all_stable,
+        })
     }
 
     fn obs(events: &[Vec<AppEvent>]) -> Vec<CheckViolation> {
-        check(&RunObservation {
-            events,
-            quiesced: true,
-            all_stable: true,
-        })
+        judge(events, true, true)
     }
 
     #[test]
@@ -510,18 +518,10 @@ mod tests {
     #[test]
     fn liveness_failures_are_reported() {
         let events: Vec<Vec<AppEvent>> = vec![vec![], vec![]];
-        let v = check(&RunObservation {
-            events: &events,
-            quiesced: false,
-            all_stable: true,
-        });
+        let v = judge(&events, false, true);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].category, Category::Liveness);
-        let v = check(&RunObservation {
-            events: &events,
-            quiesced: true,
-            all_stable: false,
-        });
+        let v = judge(&events, true, false);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("fully stable"));
     }
@@ -545,11 +545,7 @@ mod tests {
             ],
             vec![deliver(1, 1, ack.clone()), deliver(0, 1, ack)],
         ];
-        let causal = check(&RunObservation {
-            events: &events,
-            quiesced: true,
-            all_stable: true,
-        });
+        let causal = obs(&events);
         assert!(
             causal.iter().any(|v| v.category == Category::Causality),
             "{causal:?}"

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
+use co_baselines::{AppEvent, NodeCmd};
 use co_observe::{ProtocolEvent, RecorderDump, DEFAULT_RECORDER_DEPTH};
 use co_protocol::{
     CoCore, Config, DeferralPolicy, DeliveryCore, HybridCore, RetransmissionPolicy, SenderCore,
@@ -11,7 +12,7 @@ use mc_net::{
     SimDuration, SimTime, Simulator, TimedRule, WanDelay,
 };
 
-use crate::node::{AppEvent, CheckCmd, CheckNode};
+use crate::node::{self, CheckNode};
 use crate::oracles::{check, CheckViolation, RunObservation};
 use crate::plan::{FaultEvent, NetworkSpec, Scenario};
 
@@ -29,7 +30,8 @@ pub const CORE_NAMES: [&str; 3] = [
 ];
 
 /// Broadcast-to-delivery latency aggregates for one run, measured from
-/// each fresh broadcast's submit-side [`AppEvent::Broadcast`] to every
+/// each fresh broadcast's [`AppEvent::Broadcast`] (not the
+/// [`AppEvent::Submit`] before it: flow-control queueing is excluded) to every
 /// [`AppEvent::Deliver`] of that `(src, seq)` across the cluster. This is
 /// the application-visible cost the paper's §5 bounds (`R` to pre-ack,
 /// `2R` to full ack) — the number that moves when the network model does.
@@ -44,29 +46,26 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    fn from_events(events: &[Vec<AppEvent>]) -> LatencyStats {
+    fn from_events(events: &[&[AppEvent]]) -> LatencyStats {
         let mut sent = std::collections::HashMap::new();
         for (node, stream) in events.iter().enumerate() {
-            for event in stream {
-                if let AppEvent::Broadcast { seq, at_us } = event {
-                    sent.insert((node as u32, *seq), *at_us);
+            for event in *stream {
+                if let AppEvent::Broadcast { seq, at } = event {
+                    sent.insert((node, *seq), *at);
                 }
             }
         }
         let mut stats = LatencyStats::default();
         let mut total = 0u64;
         for stream in events {
-            for event in stream {
-                let AppEvent::Deliver {
-                    src, seq, at_us, ..
-                } = event
-                else {
+            for event in *stream {
+                let AppEvent::Deliver { delivery: d, at } = event else {
                     continue;
                 };
-                let Some(&sent_at) = sent.get(&(*src, *seq)) else {
+                let Some(&sent_at) = sent.get(&(d.src.index(), d.seq)) else {
                     continue;
                 };
-                let lat = at_us.saturating_sub(sent_at);
+                let lat = at.as_micros().saturating_sub(sent_at.as_micros());
                 stats.samples += 1;
                 total += lat;
                 stats.max_us = stats.max_us.max(lat);
@@ -360,9 +359,7 @@ fn run_scenario_with<C: DeliveryCore>(
         drain_batch: sc.drain_batch.max(1),
     };
     let nodes: Vec<CheckNode<C>> = (0..sc.n as u32)
-        .map(|i| protocol_config(sc, i))
-        .enumerate()
-        .map(|(i, cfg)| CheckNode::new(cfg, sc.break_delivery && i == 1, trace, recorder_depth))
+        .map(|i| node::check_node(protocol_config(sc, i), trace, recorder_depth))
         .collect();
     let mut sim = Simulator::new(sim_config, nodes);
 
@@ -370,7 +367,7 @@ fn run_scenario_with<C: DeliveryCore>(
         sim.schedule_command(
             SimTime::from_micros(submit.at_us),
             EntityId::new(submit.node),
-            CheckCmd::Submit(payload(sc, k, submit.node)),
+            NodeCmd::Submit(payload(sc, k, submit.node)),
         );
     }
     for fault in &sc.faults {
@@ -394,7 +391,7 @@ fn run_scenario_with<C: DeliveryCore>(
                     entity,
                     ControlEvent::ClearInbox,
                 );
-                sim.schedule_command(SimTime::from_micros(*at_us), entity, CheckCmd::Crash);
+                sim.schedule_command(SimTime::from_micros(*at_us), entity, NodeCmd::Crash);
             }
             _ => {}
         }
@@ -403,13 +400,28 @@ fn run_scenario_with<C: DeliveryCore>(
     let processed = sim.run_until_idle_capped(EVENT_BUDGET);
     let quiesced = processed < EVENT_BUDGET;
     let all_stable = sim.nodes().all(|(_, node)| node.entity().is_fully_stable());
-    let events: Vec<Vec<AppEvent>> = sim.nodes().map(|(_, n)| n.events().to_vec()).collect();
+    let mut events: Vec<&[AppEvent]> = sim.nodes().map(|(_, n)| n.events()).collect();
+    // `--break-delivery`: an injected delivery bug the oracles must catch —
+    // E2's log loses its first delivery record on the way to them.
+    let broken: Vec<AppEvent>;
+    if sc.break_delivery {
+        let mut log = events[1].to_vec();
+        if let Some(first) = log
+            .iter()
+            .position(|e| matches!(e, AppEvent::Deliver { .. }))
+        {
+            log.remove(first);
+        }
+        broken = log;
+        events[1] = &broken;
+    }
     let mut violations = check(&RunObservation {
         events: &events,
         quiesced,
         all_stable,
     });
-    let traces: Vec<Vec<ProtocolEvent>> = sim.nodes().map(|(_, n)| n.trace().to_vec()).collect();
+    let traces: Vec<Vec<ProtocolEvent>> =
+        sim.nodes().map(|(_, n)| node::trace(n).to_vec()).collect();
     if trace && quiesced && C::NAME == CoCore::NAME {
         // The receipt-stage oracle needs a finished run: on a livelocked
         // one, "never delivered" is the liveness oracle's verdict, not a
@@ -442,12 +454,12 @@ fn run_scenario_with<C: DeliveryCore>(
     let recorders = sim
         .nodes()
         .enumerate()
-        .map(|(i, (_, n))| RecorderDump::capture(n.recorder(), i as u32, C::NAME, network))
+        .map(|(i, (_, n))| RecorderDump::capture(node::recorder(n), i as u32, C::NAME, network))
         .collect();
     let report = RunReport {
         violations,
         digest: sim.trace_digest(),
-        event_digest: fold_digests(sim.nodes().map(|(_, n)| n.event_digest())),
+        event_digest: fold_digests(sim.nodes().map(|(_, n)| node::event_digest(n))),
         stats: sim.stats(),
         makespan_us: sim.now().as_micros(),
         peak_held,
@@ -457,11 +469,13 @@ fn run_scenario_with<C: DeliveryCore>(
         recorders,
         broadcasts: events
             .iter()
+            .copied()
             .flatten()
             .filter(|e| matches!(e, AppEvent::Broadcast { .. }))
             .count(),
         deliveries: events
             .iter()
+            .copied()
             .flatten()
             .filter(|e| matches!(e, AppEvent::Deliver { .. }))
             .count(),

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
-use co_baselines::{BroadcasterNode, CoBroadcaster};
+use co_baselines::{EntityNode, NodeCmd};
 use co_protocol::{Config, DeferralPolicy, Metrics, RetransmissionPolicy};
 use mc_net::{NetStats, SimConfig, SimTime, Simulator};
 
@@ -188,6 +188,8 @@ impl Default for AblationSwitches {
     }
 }
 
+type CoSim = Simulator<EntityNode>;
+
 /// Like [`run_co`] but stops at simulated `deadline` instead of waiting
 /// for quiescence — required for ablations that disable the liveness
 /// extensions (a paper-strict run may never quiesce after the last data
@@ -214,12 +216,9 @@ pub fn run_co(params: &CoRunParams) -> CoRunResult {
     collect(params, sim, total_messages)
 }
 
-fn build_sim(
-    params: &CoRunParams,
-    switches: AblationSwitches,
-) -> (Simulator<BroadcasterNode<CoBroadcaster>>, usize) {
+fn build_sim(params: &CoRunParams, switches: AblationSwitches) -> (CoSim, usize) {
     let n = params.n;
-    let nodes: Vec<BroadcasterNode<CoBroadcaster>> = (0..n)
+    let nodes: Vec<EntityNode> = (0..n)
         .map(|i| {
             let cfg = Config::builder(1, n, EntityId::new(i as u32))
                 .window(params.window)
@@ -228,7 +227,7 @@ fn build_sim(
                 .control_updates_al(switches.control_updates_al)
                 .build()
                 .expect("valid config");
-            BroadcasterNode::new(CoBroadcaster::new(cfg).expect("valid entity"))
+            EntityNode::new(cfg).expect("valid entity")
         })
         .collect();
     let mut sim = Simulator::new(params.sim.clone(), nodes);
@@ -243,18 +242,14 @@ fn build_sim(
             let at =
                 SimTime::from_micros(k as u64 * params.submit_interval_us + (s as u64 * 7) % 97);
             let payload = Bytes::from(vec![s as u8; params.payload.max(1)]);
-            sim.schedule_command(at, EntityId::new(s as u32), payload);
+            sim.schedule_command(at, EntityId::new(s as u32), NodeCmd::Submit(payload));
         }
     }
     let total_messages = senders.len() * params.messages_per_sender;
     (sim, total_messages)
 }
 
-fn collect(
-    params: &CoRunParams,
-    sim: Simulator<BroadcasterNode<CoBroadcaster>>,
-    total_messages: usize,
-) -> CoRunResult {
+fn collect(params: &CoRunParams, sim: CoSim, total_messages: usize) -> CoRunResult {
     let n = params.n;
     let nodes = sim
         .nodes()
@@ -262,13 +257,12 @@ fn collect(
             id,
             delivered: node
                 .delivered()
-                .iter()
-                .map(|d| (d.origin, d.origin_seq, d.at))
+                .map(|(d, at)| (d.src, d.seq.get(), at))
                 .collect(),
-            submitted: node.submitted().to_vec(),
-            metrics: *node.inner().entity().metrics(),
-            peak_held: node.inner().entity().peak_held_pdus(),
-            fully_stable: node.inner().entity().is_fully_stable(),
+            submitted: node.submitted().collect(),
+            metrics: *node.entity().metrics(),
+            peak_held: node.entity().peak_held_pdus(),
+            fully_stable: node.entity().is_fully_stable(),
         })
         .collect();
     CoRunResult {

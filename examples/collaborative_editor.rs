@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
-use co_broadcast::baselines::{BroadcasterNode, CoBroadcaster};
+use co_broadcast::baselines::{EntityNode, NodeCmd};
 use co_broadcast::net::{DelayModel, SimConfig, SimDuration, SimTime, Simulator};
 use co_broadcast::protocol::{Config, DeferralPolicy};
 
@@ -21,13 +21,13 @@ const USERS: [&str; 3] = ["alice", "bob", "carol"];
 
 fn main() {
     let n = USERS.len();
-    let nodes: Vec<BroadcasterNode<CoBroadcaster>> = (0..n)
+    let nodes: Vec<EntityNode> = (0..n)
         .map(|i| {
             let config = Config::builder(7, n, EntityId::new(i as u32))
                 .deferral(DeferralPolicy::Immediate)
                 .build()
                 .expect("valid configuration");
-            BroadcasterNode::new(CoBroadcaster::new(config).expect("valid entity"))
+            EntityNode::new(config).expect("valid entity")
         })
         .collect();
     // Uneven link delays: carol is "far away", so raw arrival order would
@@ -51,25 +51,25 @@ fn main() {
     sim.schedule_command(
         SimTime::ZERO,
         EntityId::new(0),
-        Bytes::from_static(b"alice: where shall we put the title?"),
+        NodeCmd::Submit(Bytes::from_static(b"alice: where shall we put the title?")),
     );
     sim.schedule_command(
         SimTime::ZERO,
         EntityId::new(2),
-        Bytes::from_static(b"carol: uploaded the logo assets"),
+        NodeCmd::Submit(Bytes::from_static(b"carol: uploaded the logo assets")),
     );
     // Bob's reply is submitted once Alice's question has reached him and
     // been delivered (simulated "user read it, then typed").
     sim.schedule_command(
         SimTime::from_millis(40),
         EntityId::new(1),
-        Bytes::from_static(b"bob: top-left, above the fold"),
+        NodeCmd::Submit(Bytes::from_static(b"bob: top-left, above the fold")),
     );
     sim.run_until_idle();
 
     for (id, node) in sim.nodes() {
         println!("view of {}:", USERS[id.index()]);
-        for d in node.delivered() {
+        for (d, _) in node.delivered() {
             println!("  {}", String::from_utf8_lossy(&d.data));
         }
         println!();

@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
-use co_broadcast::baselines::{BroadcasterNode, CoBroadcaster};
+use co_broadcast::baselines::{EntityNode, NodeCmd};
 use co_broadcast::net::{LossModel, SimConfig, SimTime, Simulator};
 use co_broadcast::protocol::{Config, DeferralPolicy};
 
@@ -20,13 +20,13 @@ fn main() {
     let n = 4;
     let messages_per_sender = 25;
 
-    let nodes: Vec<BroadcasterNode<CoBroadcaster>> = (0..n)
+    let nodes: Vec<EntityNode> = (0..n)
         .map(|i| {
             let config = Config::builder(1, n, EntityId::new(i as u32))
                 .deferral(DeferralPolicy::Deferred { timeout_us: 2_000 })
                 .build()
                 .expect("valid configuration");
-            BroadcasterNode::new(CoBroadcaster::new(config).expect("valid entity"))
+            EntityNode::new(config).expect("valid entity")
         })
         .collect();
     let mut sim = Simulator::new(
@@ -44,7 +44,7 @@ fn main() {
             sim.schedule_command(
                 SimTime::from_micros(k as u64 * 300),
                 EntityId::new(s as u32),
-                Bytes::from(format!("msg {k} from E{}", s + 1).into_bytes()),
+                NodeCmd::Submit(Bytes::from(format!("msg {k} from E{}", s + 1).into_bytes())),
             );
         }
     }
@@ -59,18 +59,18 @@ fn main() {
 
     let total = n * messages_per_sender;
     for (id, node) in sim.nodes() {
-        let m = node.inner().entity().metrics();
+        let m = node.entity().metrics();
         println!(
             "{id}: delivered {}/{total}  (F1 gaps {}, F2 gaps {}, RETs sent {}, \
              retransmitted {}, repaired out-of-order {})",
-            node.delivered().len(),
+            node.delivered().count(),
             m.f1_detections(),
             m.f2_detections(),
             m.ret_sent(),
             m.retransmissions_sent(),
             m.accepted_from_reorder(),
         );
-        assert_eq!(node.delivered().len(), total, "lost deliveries at {id}");
+        assert_eq!(node.delivered().count(), total, "lost deliveries at {id}");
     }
     println!("\ndespite the loss, every entity delivered every message, causally ordered ✓");
 }

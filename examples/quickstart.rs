@@ -10,22 +10,23 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
-use co_broadcast::baselines::{BroadcasterNode, CoBroadcaster};
+use co_broadcast::baselines::{EntityNode, NodeCmd};
 use co_broadcast::net::{SimConfig, SimTime, Simulator};
 use co_broadcast::protocol::{Config, DeferralPolicy};
 
 fn main() {
     let n = 3;
 
-    // One CO-protocol entity per cluster member, plugged into the
-    // simulated MC network (FIFO links, bounded receive buffers).
-    let nodes: Vec<BroadcasterNode<CoBroadcaster>> = (0..n)
+    // One CO-protocol entity per cluster member, each hosted by an
+    // `EntityNode` on the simulated MC network (FIFO links, bounded
+    // receive buffers). The node logs what its application saw.
+    let nodes: Vec<EntityNode> = (0..n)
         .map(|i| {
             let config = Config::builder(1, n, EntityId::new(i as u32))
                 .deferral(DeferralPolicy::Deferred { timeout_us: 2_000 })
                 .build()
                 .expect("valid configuration");
-            BroadcasterNode::new(CoBroadcaster::new(config).expect("valid entity"))
+            EntityNode::new(config).expect("valid entity")
         })
         .collect();
     let mut sim = Simulator::new(SimConfig::default(), nodes);
@@ -35,28 +36,28 @@ fn main() {
     sim.schedule_command(
         SimTime::ZERO,
         EntityId::new(0),
-        Bytes::from_static(b"m1: hello"),
+        NodeCmd::Submit(Bytes::from_static(b"m1: hello")),
     );
     sim.schedule_command(
         SimTime::from_millis(50),
         EntityId::new(1),
-        Bytes::from_static(b"m2: hello back"),
+        NodeCmd::Submit(Bytes::from_static(b"m2: hello back")),
     );
     sim.schedule_command(
         SimTime::from_millis(100),
         EntityId::new(2),
-        Bytes::from_static(b"m3: hello both"),
+        NodeCmd::Submit(Bytes::from_static(b"m3: hello both")),
     );
     sim.run_until_idle();
 
     for (id, node) in sim.nodes() {
         println!("{id} delivered:");
-        for d in node.delivered() {
+        for (d, at) in node.delivered() {
             println!(
                 "  [{:>6}µs] {}#{}: {}",
-                d.at.as_micros(),
-                d.origin,
-                d.origin_seq,
+                at.as_micros(),
+                d.src,
+                d.seq.get(),
                 String::from_utf8_lossy(&d.data)
             );
         }

@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
-use co_broadcast::baselines::{BroadcasterNode, CoBroadcaster};
+use co_broadcast::baselines::{EntityNode, NodeCmd};
 use co_broadcast::net::{LossModel, SimConfig, SimTime, Simulator};
 use co_broadcast::protocol::{Config, DeferralPolicy};
 use std::collections::BTreeMap;
@@ -34,13 +34,13 @@ fn apply_op(state: &mut BTreeMap<String, u64>, data: &[u8]) {
 
 fn main() {
     let n = 3;
-    let nodes: Vec<BroadcasterNode<CoBroadcaster>> = (0..n)
+    let nodes: Vec<EntityNode> = (0..n)
         .map(|i| {
             let config = Config::builder(1, n, EntityId::new(i as u32))
                 .deferral(DeferralPolicy::Deferred { timeout_us: 2_000 })
                 .build()
                 .expect("valid configuration");
-            BroadcasterNode::new(CoBroadcaster::new(config).expect("valid entity"))
+            EntityNode::new(config).expect("valid entity")
         })
         .collect();
     let mut sim = Simulator::new(
@@ -59,7 +59,7 @@ fn main() {
             sim.schedule_command(
                 SimTime::from_millis(round * 20 + replica as u64),
                 EntityId::new(replica as u32),
-                encode_op(&format!("counter.e{}", replica + 1), round + 1),
+                NodeCmd::Submit(encode_op(&format!("counter.e{}", replica + 1), round + 1)),
             );
         }
     }
@@ -69,7 +69,7 @@ fn main() {
     let mut states: Vec<BTreeMap<String, u64>> = Vec::new();
     for (id, node) in sim.nodes() {
         let mut state = BTreeMap::new();
-        for d in node.delivered() {
+        for (d, _) in node.delivered() {
             apply_op(&mut state, &d.data);
         }
         println!("replica {id}: {state:?}");

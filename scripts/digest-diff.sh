@@ -26,10 +26,12 @@
 # bandwidth-charged `contended` network and nothing else) is read off
 # that list.
 #
-# Both sides run this checkout's co-check (the instrument) over their own
-# product crates, so a change to schedule generation or reporting cannot
-# show up as a product difference. If this checkout's co-check does not
-# build against <base-ref>'s product, <base-ref>'s own co-check is used.
+# Both sides run this checkout's instrument — co-check and co-baselines,
+# the crate of the simulator node it hosts entities in — over their own
+# product crates, so a change to schedule generation, the node or
+# reporting cannot show up as a product difference. If this checkout's
+# instrument does not build against <base-ref>'s product, <base-ref>'s own
+# is used.
 #
 # Online, plain cargo resolves the registry and the base reuses this
 # checkout's Cargo.lock; with --offline both sides build through
@@ -55,12 +57,17 @@ build() { # <checkout> <target-dir> [package and target flags]
 }
 build "$head" "$target" -p co-check
 [[ -f $head/Cargo.lock ]] && cp "$head/Cargo.lock" "$base/Cargo.lock"
-mv "$base/crates/co-check" "$work/base-co-check"
-cp -r "$head/crates/co-check" "$base/crates/co-check"
+instrument=(co-check co-baselines)
+for crate in "${instrument[@]}"; do
+    mv "$base/crates/$crate" "$work/base-$crate"
+    cp -r "$head/crates/$crate" "$base/crates/$crate"
+done
 if ! build "$base" "$target/digest-diff-base" -p co-check; then
-    echo "digest-diff: this checkout's co-check does not build against $base_ref; using its own" >&2
-    rm -rf "$base/crates/co-check"
-    mv "$work/base-co-check" "$base/crates/co-check"
+    echo "digest-diff: this checkout's ${instrument[*]} do not build against $base_ref; using its own" >&2
+    for crate in "${instrument[@]}"; do
+        rm -rf "$base/crates/$crate"
+        mv "$work/base-$crate" "$base/crates/$crate"
+    done
     build "$base" "$target/digest-diff-base" -p co-check
 fi
 # Only the co-cli binary: co-node does not build against the offline

@@ -11,8 +11,9 @@
 use bytes::Bytes;
 use causal_order::properties::RunTrace;
 use causal_order::{EntityId, MsgId};
-use co_baselines::{
-    AppDelivery, Broadcaster, BroadcasterNode, CbcastEntity, FifoEntity, Out, SequencerEntity,
+use co_baselines::{BroadcasterNode, CbcastEntity, FifoCore, SequencerEntity};
+use co_protocol::{
+    Action, CoCore, Config, DeferralPolicy, DeliveryCore, Entity, NoopObserver, Pdu,
 };
 use mc_net::{LossModel, SimConfig, SimTime, Simulator};
 
@@ -20,111 +21,90 @@ fn e(i: u32) -> EntityId {
     EntityId::new(i)
 }
 
-fn deliveries<M>(outs: &[Out<M>]) -> Vec<AppDelivery> {
-    outs.iter()
-        .filter_map(|o| match o {
-            Out::Deliver(d) => Some(d.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-fn broadcast<M: Clone>(outs: &[Out<M>]) -> M {
-    outs.iter()
-        .find_map(|o| match o {
-            Out::Broadcast(m) => Some(m.clone()),
-            _ => None,
-        })
-        .expect("broadcast present")
-}
-
-/// Figure 2 with adversarial arrival order at E3: m2 (caused by m1)
-/// arrives first.
-#[test]
-fn fifo_baseline_violates_causality_where_co_does_not() {
-    // FIFO baseline: delivers m2 before its cause m1.
-    let mut f1 = FifoEntity::new(e(0), 3);
-    let mut f2 = FifoEntity::new(e(1), 3);
-    let mut f3 = FifoEntity::new(e(2), 3);
-    let m1 = broadcast(&f1.on_app(Bytes::from_static(b"m1"), 0));
-    f2.on_msg(e(0), m1.clone(), 0);
-    let m2 = broadcast(&f2.on_app(Bytes::from_static(b"m2"), 0));
-    let first = deliveries(&f3.on_msg(e(1), m2, 0));
-    let second = deliveries(&f3.on_msg(e(0), m1, 0));
-    assert_eq!(first[0].origin, e(1), "FIFO delivered the effect first");
-    assert_eq!(second[0].origin, e(0));
-
-    // Same arrival order through the CO protocol: the effect is held back.
-    use co_baselines::CoBroadcaster;
-    use co_protocol::{Config, DeferralPolicy};
-    let mk = |i: u32| {
-        CoBroadcaster::new(
-            Config::builder(0, 3, e(i))
+/// Figure 2 with adversarial arrival order at E3, on delivery core `C`:
+/// E1 broadcasts m1, E2 delivers it and answers with m2, and E3 receives
+/// m2 (the effect) *before* m1 (its cause). Returns what E3's application
+/// saw, in order.
+fn figure2_at_e3<C: DeliveryCore>() -> Vec<(EntityId, u64)> {
+    const LATER: u64 = 1_000_000;
+    let mut entities: Vec<Entity<C>> = (0..3)
+        .map(|i| {
+            let config = Config::builder(0, 3, e(i))
                 .deferral(DeferralPolicy::Immediate)
                 .build()
-                .unwrap(),
-        )
-        .unwrap()
+                .unwrap();
+            Entity::with_observer(config, NoopObserver).unwrap()
+        })
+        .collect();
+    let data_pdu = |actions: &[Action]| {
+        let data = actions.iter().find_map(|a| match a {
+            Action::Broadcast(pdu @ Pdu::Data(_)) => Some(pdu.clone()),
+            _ => None,
+        });
+        data.expect("a data PDU")
     };
-    let (mut c1, mut c2, mut c3) = (mk(0), mk(1), mk(2));
-    let p1 = broadcast(&c1.on_app(Bytes::from_static(b"m1"), 0));
-    // E2 receives m1, replies with m2 (its confirmations ride along).
-    let outs2 = c2.on_msg(e(0), p1.clone(), 1);
-    let mut m2_pdu = None;
-    let m2_outs = c2.on_app(Bytes::from_static(b"m2"), 2);
-    for o in outs2.iter().chain(&m2_outs) {
-        if let Out::Broadcast(pdu) = o {
-            if matches!(pdu, co_protocol::Pdu::Data(_)) {
-                m2_pdu = Some(pdu.clone());
+    let (_, out1) = entities[0].submit(Bytes::from_static(b"m1"), 0).unwrap();
+    let m1 = data_pdu(&out1);
+    // E2 receives m1, then replies with m2 (its confirmations ride along).
+    let mut out2 = Vec::new();
+    entities[1].on_pdu(m1.clone(), 1, &mut out2).unwrap();
+    entities[1]
+        .submit_with(Bytes::from_static(b"m2"), 2, &mut out2)
+        .unwrap();
+    let m2 = data_pdu(&out2);
+
+    // Feeds `pdu` to entity `to`: what it broadcasts goes in flight, what
+    // E3 delivers goes in the log.
+    let mut log = Vec::new();
+    let mut inflight: Vec<(usize, Pdu)> = Vec::new();
+    let mut feed = |entity: &mut Entity<C>, to: usize, pdu: Pdu, inflight: &mut Vec<_>| {
+        let mut out = Vec::new();
+        entity.on_pdu(pdu, LATER, &mut out).unwrap();
+        for action in out {
+            match action {
+                Action::Broadcast(p) => inflight.push((to, p)),
+                Action::Deliver(d) if to == 2 => log.push((d.src, d.seq.get())),
+                _ => {}
             }
         }
-    }
-    // Adversarial order at E3: m2 first, then m1 — no delivery of m2 may
-    // precede m1's.
-    let mut log3: Vec<AppDelivery> = Vec::new();
-    log3.extend(deliveries(&c3.on_msg(
-        e(1),
-        m2_pdu.expect("m2 data pdu"),
-        3,
-    )));
-    log3.extend(deliveries(&c3.on_msg(e(0), p1, 4)));
-    // Feed confirmations around until deliveries appear (bounded rounds).
-    let mut inflight: Vec<(EntityId, co_protocol::Pdu)> = Vec::new();
+    };
+    // The adversarial order at E3: the effect, then its cause.
+    feed(&mut entities[2], 2, m2, &mut inflight);
+    feed(&mut entities[2], 2, m1, &mut inflight);
+    // Then let confirmations flow until the cluster is quiet (bounded).
     for _ in 0..30 {
-        for (target, ent) in [(e(0), &mut c1), (e(1), &mut c2), (e(2), &mut c3)] {
-            let outs = ent.on_tick(1_000_000);
-            for o in outs {
-                if let Out::Broadcast(p) = o {
-                    inflight.push((target, p));
+        for (i, entity) in entities.iter_mut().enumerate() {
+            for action in entity.on_tick(LATER) {
+                if let Action::Broadcast(p) = action {
+                    inflight.push((i, p));
                 }
             }
         }
-        for (from, pdu) in std::mem::take(&mut inflight) {
-            for (target, ent) in [(e(0), &mut c1), (e(1), &mut c2), (e(2), &mut c3)] {
-                if target == from {
-                    continue;
-                }
-                for o in ent.on_msg(from, pdu.clone(), 1_000_000) {
-                    match o {
-                        Out::Broadcast(p) => inflight.push((target, p)),
-                        Out::Deliver(d) => {
-                            if target == e(2) {
-                                log3.push(d);
-                            }
-                        }
-                        Out::Send(..) => {}
-                    }
-                }
-            }
-        }
-        if log3.len() >= 2 {
+        if inflight.is_empty() {
             break;
         }
+        for (from, pdu) in std::mem::take(&mut inflight) {
+            for to in (0..3).filter(|&to| to != from) {
+                feed(&mut entities[to], to, pdu.clone(), &mut inflight);
+            }
+        }
     }
-    let origins: Vec<EntityId> = log3.iter().map(|d| d.origin).collect();
+    log
+}
+
+/// The PO/FIFO comparator provides only the LO service and delivers m2
+/// before its cause; the CO protocol, fed the identical arrival order
+/// through the identical driver, holds the effect back.
+#[test]
+fn fifo_baseline_violates_causality_where_co_does_not() {
     assert_eq!(
-        origins,
-        vec![e(0), e(1)],
+        figure2_at_e3::<FifoCore>(),
+        vec![(e(1), 1), (e(0), 1)],
+        "FIFO delivers the effect first"
+    );
+    assert_eq!(
+        figure2_at_e3::<CoCore>(),
+        vec![(e(0), 1), (e(1), 1)],
         "CO must deliver the cause before the effect"
     );
 }

@@ -5,18 +5,18 @@
 
 use bytes::Bytes;
 use causal_order::EntityId;
-use co_baselines::{BroadcasterNode, CoBroadcaster};
+use co_baselines::{EntityNode, NodeCmd};
 use co_protocol::{Config, DeferralPolicy};
 use mc_net::{LossModel, SimConfig, SimTime, Simulator, TimedRule};
 
-fn cluster(n: usize, loss: LossModel) -> Simulator<BroadcasterNode<CoBroadcaster>> {
+fn cluster(n: usize, loss: LossModel) -> Simulator<EntityNode> {
     let nodes = (0..n)
         .map(|i| {
             let cfg = Config::builder(1, n, EntityId::new(i as u32))
                 .deferral(DeferralPolicy::Deferred { timeout_us: 2_000 })
                 .build()
                 .unwrap();
-            BroadcasterNode::new(CoBroadcaster::new(cfg).unwrap())
+            EntityNode::new(cfg).unwrap()
         })
         .collect();
     Simulator::new(
@@ -44,14 +44,14 @@ fn paused_entity_catches_up_after_recovery() {
         sim.schedule_command(
             SimTime::from_micros(k * 1_500),
             EntityId::new((k % 2) as u32), // senders E1 and E2 only
-            Bytes::from(format!("m{k}").into_bytes()),
+            NodeCmd::Submit(Bytes::from(format!("m{k}").into_bytes())),
         );
     }
     sim.run_until_idle();
     for (id, node) in sim.nodes() {
-        assert_eq!(node.delivered().len(), 30, "at {id}");
+        assert_eq!(node.delivered().count(), 30, "at {id}");
     }
-    let victim_metrics = sim.node(victim).inner().entity().metrics();
+    let victim_metrics = sim.node(victim).entity().metrics();
     assert!(
         victim_metrics.loss_detections() > 0,
         "the outage must be detected as loss"
@@ -93,16 +93,15 @@ fn one_way_link_cut_is_repaired_via_third_parties() {
         sim.schedule_command(
             SimTime::from_micros(k * 1_000),
             EntityId::new(0),
-            Bytes::from(format!("m{k}").into_bytes()),
+            NodeCmd::Submit(Bytes::from(format!("m{k}").into_bytes())),
         );
     }
     sim.run_until_idle();
     for (id, node) in sim.nodes() {
-        assert_eq!(node.delivered().len(), 10, "at {id}");
+        assert_eq!(node.delivered().count(), 10, "at {id}");
     }
     assert!(
         sim.node(EntityId::new(1))
-            .inner()
             .entity()
             .metrics()
             .f2_detections()
@@ -128,20 +127,20 @@ fn symmetric_partition_heals() {
             sim.schedule_command(
                 SimTime::from_micros(k * 2_000),
                 EntityId::new(s as u32),
-                Bytes::from(vec![s as u8, k as u8]),
+                NodeCmd::Submit(Bytes::from(vec![s as u8, k as u8])),
             );
         }
     }
     sim.run_until_idle();
     for (id, node) in sim.nodes() {
-        assert_eq!(node.delivered().len(), 36, "at {id}");
+        assert_eq!(node.delivered().count(), 36, "at {id}");
     }
     // Note: delivery is impossible *during* the partition (global
     // stability needs all entities), so everything arrives after healing —
     // the price of the atomic-receipt guarantee.
     let first_delivery = sim
         .nodes()
-        .flat_map(|(_, node)| node.delivered().iter().map(|d| d.at))
+        .flat_map(|(_, node)| node.delivered().map(|(_, at)| at))
         .min()
         .unwrap();
     assert!(
