@@ -99,7 +99,7 @@ impl DeliveryCore for FifoCore {
         self.min_ack_of_me(fifo)
     }
 
-    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+    fn confirmation(&self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
         let mut acked = fifo.frontier().to_vec();
         acked[self.me] = self.min_ack_of_me(fifo);
         (fifo.frontier().to_vec(), acked)

@@ -52,12 +52,14 @@
 //! exceptions listed below: the reference core's deliver ÷ accept ratio
 //! at n = 256 and its deliver_live ÷ deliver_paired ratio at n = 64.
 //!
-//! The `codec/ack_only/{encode,decode}_w{1,8}/{n}` rows price the wire
-//! codec alone on the PDU that dominates the wire at scale (three
-//! vectors): `w1` is the steady state (every vector's spread under 256,
-//! one byte per entity), `w8` forces the eight-byte fallback arm, which
-//! does what wire v1 did for every vector and must not cost more than
-//! v1's bulk path did. Informational.
+//! The `codec/ack_only/{encode,decode}_{lag,w1,w8}/{n}` rows price the
+//! wire codec alone on the PDU that dominates the wire at scale (three
+//! vectors): `lag` is the steady state (`ack` at one byte per entity,
+//! `packed` and `acked` at most 15 behind it, half a byte each), `w1`
+//! spreads the lags past 15 so all three vectors take the one-byte arm
+//! (wire v2's steady state), `w8` forces the eight-byte fallback arm,
+//! which does what wire v1 did for every vector and must not cost more
+//! than v1's bulk path did. Informational.
 //!
 //! `--guard` exits non-zero when the run it just appended breaks one of
 //! four ratios, each between two rows measured *in the same run*, so
@@ -581,31 +583,48 @@ fn bench_batch_throughput(n: usize, total: u64) -> (f64, f64) {
     (per_pdu, batched)
 }
 
-/// `(encode, decode)` ns/PDU for an `AckOnly` at cluster size `n` whose
-/// three vectors each need `width`-byte offsets (1 or 8). Encode is
-/// [`Pdu::encode`] as the transports call it (one allocation per frame);
-/// decode draws from a warm, recycled pool, so it is the codec alone.
-/// Fastest of three passes, like the other rows.
-fn bench_codec_ack_only(n: usize, width: usize) -> (f64, f64) {
-    let vector = |base: u64| {
-        let mut v: Vec<Seq> = (0..n as u64)
-            .map(|i| Seq::new(base + i * 37 % 256))
-            .collect();
-        if width == 8 {
-            v[n - 1] = Seq::new(u64::MAX);
-        }
-        v
+/// `(encode, decode)` ns/PDU for an `AckOnly` at cluster size `n` in one
+/// of three shapes: `"lag"`, the steady state (`ack` spread under 256,
+/// `packed` / `acked` at most 15 behind it: one byte and twice half a
+/// byte per entity), `"w1"` (lags spread past 15, so all three vectors
+/// take the one-byte arm) and `"w8"` (all three forced into the
+/// eight-byte fallback). Encode is [`Pdu::encode`] as the transports call
+/// it (one allocation per frame); decode draws from a warm, recycled
+/// pool, so it is the codec alone. Fastest of three passes, like the
+/// other rows.
+fn bench_codec_ack_only(n: usize, shape: &str) -> (f64, f64) {
+    let mut ack: Vec<Seq> = (0..n as u64)
+        .map(|i| Seq::new(1_000 + i * 37 % 256))
+        .collect();
+    let lag_cap = if shape == "lag" { 16 } else { 200 };
+    let behind = |ack: &[Seq], step: u64| -> Vec<Seq> {
+        let lags = (0..n as u64).map(|i| i * step % lag_cap);
+        ack.iter()
+            .zip(lags)
+            .map(|(a, lag)| Seq::new(a.get() - lag))
+            .collect()
     };
+    let (mut packed, mut acked) = (behind(&ack, 7), behind(&ack, 11));
+    if shape == "w8" {
+        ack[n - 1] = Seq::new(u64::MAX);
+        packed[n - 1] = Seq::new(u64::MAX >> 1);
+        acked[n - 1] = Seq::new(u64::MAX >> 2);
+    }
     let pdu = Pdu::AckOnly(AckOnlyPdu {
         cid: 1,
         src: EntityId::new(1),
-        ack: vector(1_000),
-        packed: vector(900),
-        acked: vector(800),
+        ack,
+        packed,
+        acked,
         buf: 4096,
     });
     let raw = pdu.encode();
-    assert_eq!(raw.len(), 16 + 3 * (11 + width * n), "width {width} arm");
+    let vectors = match shape {
+        "lag" => n + 2 * n.div_ceil(2),
+        "w1" => 3 * n,
+        _ => 3 * 8 * n,
+    };
+    assert_eq!(raw.len(), 16 + 3 * 11 + vectors, "{shape} arm");
     let iters = 40_000_000 / n as u64;
     let mut pool = AckBufPool::with_buffers(3, n);
     let mut best = (f64::INFINITY, f64::INFINITY);
@@ -767,17 +786,17 @@ fn main() {
     }
 
     for n in [64usize, 256] {
-        for width in [1usize, 8] {
-            let (encode, decode) = bench_codec_ack_only(n, width);
+        for shape in ["lag", "w1", "w8"] {
+            let (encode, decode) = bench_codec_ack_only(n, shape);
             for (op, ns) in [("encode", encode), ("decode", decode)] {
                 current.push(Entry {
-                    id: format!("codec/ack_only/{op}_w{width}/{n}"),
+                    id: format!("codec/ack_only/{op}_{shape}/{n}"),
                     n,
                     ns_per_op: ns,
                     throughput_per_s: None,
                     bytes: None,
                 });
-                eprintln!("codec/ack_only/{op}_w{width}/{n}: {ns:.1} ns/PDU");
+                eprintln!("codec/ack_only/{op}_{shape}/{n}: {ns:.1} ns/PDU");
             }
         }
     }

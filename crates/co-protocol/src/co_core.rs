@@ -315,7 +315,7 @@ impl DeliveryCore for CoCore {
 
     /// `packed` is the pre-ack frontier `minAL`, `acked` the
     /// acknowledgment frontier `minPAL`.
-    fn confirmation(&mut self, _fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+    fn confirmation(&self, _fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
         (self.al.row_mins().to_vec(), self.pal.row_mins().to_vec())
     }
 

@@ -128,7 +128,7 @@ impl<'a, O: Observer, S: ActionSink> Out<'a, O, S> {
 ///
 /// See the [module docs](self) for the contract. Implementations in this
 /// crate: [`crate::CoCore`], [`crate::HybridCore`], [`crate::SenderCore`];
-/// `tests/toy_core.rs` holds a fourth (FIFO-only) one.
+/// `co_baselines::FifoCore` is a fourth (FIFO-only) one.
 ///
 /// Every hook receives the substrate: read the next-expected frontier
 /// with [`ReliableFifo::frontier`], hand a message to the application
@@ -210,7 +210,7 @@ pub trait DeliveryCore: Sized + Send + std::fmt::Debug + 'static {
 
     /// The `(packed, acked)` vectors of an outgoing `AckOnly` (`ack` is
     /// always the frontier).
-    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>);
+    fn confirmation(&self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>);
 
     /// A counter that moves whenever knowledge worth advertising beyond
     /// the frontier does. Must reflect every fold made so far.

@@ -305,7 +305,7 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
         Self::validate(self.fifo.config(), &pdu)?;
         let out = &mut Out::new(now_us, &mut self.observer, sink);
         self.fifo.on_pdu(&mut self.core, pdu, out);
-        self.fifo.end_batch(&mut self.core, out);
+        self.fifo.end_batch(&self.core, out);
         Ok(())
     }
 
@@ -366,7 +366,7 @@ impl<C: DeliveryCore, O: Observer> Entity<C, O> {
             self.fifo.on_pdu(&mut self.core, pdu, out);
         }
         if outcome.accepted > 0 {
-            self.fifo.end_batch(&mut self.core, out);
+            self.fifo.end_batch(&self.core, out);
         }
         outcome
     }

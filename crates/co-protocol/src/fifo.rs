@@ -464,14 +464,21 @@ impl ReliableFifo {
         if r.lsrc != self.config.me {
             return;
         }
-        let from = r.ack[self.config.me.index()];
+        let me = self.config.me.index();
+        let from = r.ack[me];
         // Nothing at or past our own next sequence number was ever sent:
         // a forged `lseq` must not count as an unservable span.
-        let next = self.next[self.config.me.index()];
+        let next = self.next[me];
         let to = match self.config.retransmission {
             RetransmissionPolicy::Selective => r.lseq.min(next),
             RetransmissionPolicy::GoBackN => next,
         };
+        // Nor can an honest requester be missing more than the flow
+        // window lets us have outstanding, so that is the most one `RET`
+        // is served — or counted as unservable where the send log was
+        // pruned: a forged `ack[me]` must neither rebroadcast the whole
+        // log nor inflate the count by everything ever acknowledged.
+        let to = to.min(Seq::new(from.get().saturating_add(self.config.window)));
         let mut served = 0u64;
         for pdu in self.sl.range(from, to) {
             out.event(ProtocolEvent::RetServed {
@@ -738,7 +745,7 @@ impl ReliableFifo {
     /// everything the batch accepted, and the held-PDU gauge.
     pub(crate) fn end_batch<C: DeliveryCore, O: Observer, S: ActionSink>(
         &mut self,
-        core: &mut C,
+        core: &C,
         out: &mut Out<'_, O, S>,
     ) {
         self.maybe_confirm(core, out);
@@ -747,7 +754,7 @@ impl ReliableFifo {
 
     fn maybe_confirm<C: DeliveryCore, O: Observer, S: ActionSink>(
         &mut self,
-        core: &mut C,
+        core: &C,
         out: &mut Out<'_, O, S>,
     ) {
         if self.peer_needs_update
@@ -778,12 +785,13 @@ impl ReliableFifo {
 
     fn send_ack_only<C: DeliveryCore, O: Observer, S: ActionSink>(
         &mut self,
-        core: &mut C,
+        core: &C,
         out: &mut Out<'_, O, S>,
     ) {
         let (packed, acked) = core.confirmation(self);
-        // What every core keeps, and all a later delta-from-`ack` encoding
-        // may lean on. `acked ≤ packed` does NOT hold (DESIGN.md, wire format).
+        // What every core keeps, and what keeps the lags the wire writes
+        // (`ack ⊖ packed`, `ack ⊖ acked`) half a byte wide. `acked ≤ packed`
+        // does NOT hold (DESIGN.md, wire format).
         for (j, ack) in self.next.iter().enumerate() {
             debug_assert!(
                 packed[j] <= *ack && acked[j] <= *ack,

@@ -215,7 +215,7 @@ impl DeliveryCore for HybridCore {
     /// stale (lost `AckOnly`s) and owe us a refresher — without it, a
     /// sender whose flow window wedged on lost confirmations would stay
     /// wedged forever.
-    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+    fn confirmation(&self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
         let mut acked = fifo.frontier().to_vec();
         acked[self.me.index()] = self.min_ack_of_me(fifo);
         (self.delivered_next.clone(), acked)

@@ -192,7 +192,7 @@ impl DeliveryCore for SenderCore {
     /// frontier; `acked[k]` is the lowest receipt knowledge of `E_k`
     /// across peers — peers use it to spot that our gate is wedged on
     /// confirmations we never got, and reply with a refresher.
-    fn confirmation(&mut self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
+    fn confirmation(&self, fifo: &ReliableFifo) -> (Vec<Seq>, Vec<Seq>) {
         let acked = (0..self.n).map(|k| self.min_recv_of(k, fifo)).collect();
         (fifo.frontier().to_vec(), acked)
     }

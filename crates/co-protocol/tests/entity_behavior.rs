@@ -437,20 +437,123 @@ fn forged_ret_lseq_is_clamped_to_what_was_sent() {
     });
     let mut out = Vec::new();
     sender.on_pdu(forged, 10, &mut out).unwrap();
-    let resent: Vec<Seq> = out
-        .iter()
-        .filter_map(|a| match a {
-            Action::Broadcast(Pdu::Data(d)) => Some(d.seq),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(resent, [Seq::new(2), Seq::new(3)], "the send log's tail");
+    assert_eq!(
+        resent(&out),
+        [Seq::new(2), Seq::new(3)],
+        "the send log's tail"
+    );
     assert_eq!(sender.metrics().retransmissions_sent(), 2);
     assert_eq!(
         sender.metrics().ret_unservable(),
         0,
         "sequence numbers never sent are not an unservable span"
     );
+}
+
+/// The data PDUs a batch of actions rebroadcasts.
+fn resent(actions: &[Action]) -> Vec<Seq> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Broadcast(Pdu::Data(d)) => Some(d.seq),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn forged_ret_start_counts_a_flow_window_of_the_pruned_span_at_most() {
+    const W: u64 = 2;
+    let mut net = TestNet::new(2, |i| {
+        Config::builder(0, 2, EntityId::new(i as u32))
+            .deferral(DeferralPolicy::Immediate)
+            .window(W)
+            .build()
+            .unwrap()
+    });
+    // Four broadcasts run to stability: acknowledged everywhere, pruned.
+    for k in 0..4u8 {
+        net.submit(0, &[k]);
+        net.run();
+    }
+    assert!(net.entity(0).export_state().fifo.send_log.is_empty());
+    // A fifth stays in the log: its only receiver never sees it.
+    net.drop_fn = Box::new(|_, _, _| true);
+    net.submit(0, &[4]);
+    let ret = |from: u64| {
+        Pdu::Ret(RetPdu {
+            cid: 0,
+            src: EntityId::new(1),
+            lsrc: EntityId::new(0),
+            lseq: Seq::new(6),
+            ack: vec![Seq::new(from), Seq::FIRST],
+            buf: 64,
+        })
+    };
+    // Claims to hold nothing of E_0's and asks for all five.
+    let mut out = Vec::new();
+    net.entities[0].on_pdu(ret(1), 1_000, &mut out).unwrap();
+    assert_eq!(resent(&out), [], "sequence numbers 1 and 2 are long gone");
+    assert_eq!(
+        net.entity(0).metrics().ret_unservable(),
+        W,
+        "a window's worth of the pruned span, not all four"
+    );
+    // The request an honest E_1 would send is served as before.
+    net.entities[0].on_pdu(ret(5), 1_001, &mut out).unwrap();
+    assert_eq!(resent(&out), [Seq::new(5)]);
+    assert_eq!(net.entity(0).metrics().ret_unservable(), W);
+}
+
+#[test]
+fn one_ret_is_served_a_flow_window_at_most() {
+    const W: u64 = 2;
+    let mut sender = Entity::new(
+        Config::builder(0, 2, EntityId::new(0))
+            .deferral(DeferralPolicy::Immediate)
+            .window(W)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    // E_1 confirms acceptance (so the window keeps opening) but never a
+    // pre-acknowledgment (so nothing is pruned): the log outgrows W.
+    let mut sent = 0u64;
+    for round in 0..3u64 {
+        for _ in 0..W {
+            sent += 1;
+            let (outcome, _) = sender.submit(Bytes::from_static(b"x"), round).unwrap();
+            assert_eq!(outcome, SubmitOutcome::Sent(Seq::new(sent)));
+        }
+        let accepted = Pdu::AckOnly(co_protocol::AckOnlyPdu {
+            cid: 0,
+            src: EntityId::new(1),
+            ack: vec![Seq::new(sent + 1), Seq::FIRST],
+            packed: vec![Seq::FIRST, Seq::FIRST],
+            acked: vec![Seq::FIRST, Seq::FIRST],
+            buf: 64,
+        });
+        sender.on_pdu(accepted, round, &mut Vec::new()).unwrap();
+    }
+    assert_eq!(sender.export_state().fifo.send_log.len() as u64, 3 * W);
+    // Asks for the whole log at once.
+    let forged = Pdu::Ret(RetPdu {
+        cid: 0,
+        src: EntityId::new(1),
+        lsrc: EntityId::new(0),
+        lseq: Seq::new(u64::MAX),
+        ack: vec![Seq::FIRST, Seq::FIRST],
+        buf: 64,
+    });
+    let mut out = Vec::new();
+    sender.on_pdu(forged, 10, &mut out).unwrap();
+    assert_eq!(
+        resent(&out),
+        [Seq::new(1), Seq::new(2)],
+        "W PDUs, oldest first"
+    );
+    assert_eq!(sender.metrics().retransmissions_sent(), W);
+    assert_eq!(sender.metrics().ret_unservable(), 0);
 }
 
 #[test]

@@ -30,7 +30,7 @@ pub enum DecodeError {
         /// The maximum accepted.
         max: usize,
     },
-    /// A vector's offset width is not one of 1, 2, 4 or 8 bytes.
+    /// A vector's offset width is not one of 0, 4, 8, 16, 32 or 64 bits.
     BadWidth {
         /// The width byte found.
         found: u8,
@@ -68,7 +68,10 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "ack vector length {declared} exceeds maximum {max}")
             }
             DecodeError::BadWidth { found } => {
-                write!(f, "vector offset width {found} is not 1, 2, 4 or 8")
+                write!(
+                    f,
+                    "vector offset width {found} is not 0, 4, 8, 16, 32 or 64 bits"
+                )
             }
             DecodeError::OffsetOverflow { base, offset } => {
                 write!(f, "vector base {base} plus offset {offset} overflows u64")

@@ -12,9 +12,12 @@
 //! The `ACK` field is the sender's whole `REQ` vector, so every PDU is
 //! **O(n)** bytes long — the cost the paper reports in §5 ("the length of
 //! PDU is O(n)") and that the `pdu_overhead` experiment measures. The
-//! codec (wire version 2) writes each vector as a base plus fixed-width
+//! codec (wire version 3) writes each vector as a base plus fixed-width
 //! offsets, which makes the constant one byte per entity while the
-//! vector's entries stay within 255 of each other.
+//! vector's entries stay within 255 of each other, and an `AckOnly`'s
+//! `packed` / `acked` as their lags behind its `ack` — half a byte per
+//! entity while at most 15 PDUs per source are in flight, none once the
+//! sender has caught up.
 //!
 //! # Example
 //!

@@ -18,11 +18,11 @@ fn ack_vecs(pdu: &Pdu) -> usize {
 }
 
 /// Vectors of mixed magnitude, so every width arm of the codec is hit: a
-/// base anywhere in `u64` with per-entry offsets capped at 8, 16, 32 or all
-/// 64 bits (saturating at `u64::MAX`), or fully arbitrary entries. Lengths
-/// cross the encoder's 32-entry block.
+/// base anywhere in `u64` with per-entry offsets capped at 0, 4, 8, 16, 32
+/// or all 64 bits (saturating at `u64::MAX`), or fully arbitrary entries.
+/// Lengths cross the encoder's 32-entry block and are odd as often as even.
 fn arb_ack() -> impl Strategy<Value = Vec<Seq>> {
-    let caps = prop::sample::select(vec![0xFFu64, 0xFFFF, 0xFFFF_FFFF, u64::MAX]);
+    let caps = prop::sample::select(vec![0u64, 0xF, 0xFF, 0xFFFF, 0xFFFF_FFFF, u64::MAX]);
     let framed = (any::<u64>(), caps).prop_flat_map(|(base, cap)| {
         let entry = (0..=cap).prop_map(move |offset| Seq::new(base.saturating_add(offset)));
         prop::collection::vec(entry, 0..40)
@@ -73,16 +73,39 @@ fn arb_ret() -> impl Strategy<Value = Pdu> {
         })
 }
 
+/// Per-entity lags capped at 0, 4, 8 or all 64 bits, of a length of
+/// their own.
+fn arb_lags() -> impl Strategy<Value = Vec<u64>> {
+    prop::sample::select(vec![0u64, 0xF, 0xFF, u64::MAX])
+        .prop_flat_map(|cap| prop::collection::vec(0..=cap, 0..40))
+}
+
+/// The vector that trails `ack` by `lags`, the way the wire counts it:
+/// wrapping, and from 0 where `ack` has no entry.
+fn behind(ack: &[Seq], lags: &[u64]) -> Vec<Seq> {
+    let ahead = |j: usize| ack.get(j).map_or(0, |a| a.get());
+    lags.iter()
+        .enumerate()
+        .map(|(j, lag)| Seq::new(ahead(j).wrapping_sub(*lag)))
+        .collect()
+}
+
+/// An `AckOnly`'s three vectors: `packed` and `acked` trailing `ack` the
+/// way honest senders produce them (so the lag vectors hit the widths
+/// below a byte; the uncapped lags also run ahead of `ack`, and either
+/// may be shorter or longer than it), or three unrelated vectors.
+fn arb_ack_only_vectors() -> impl Strategy<Value = (Vec<Seq>, Vec<Seq>, Vec<Seq>)> {
+    let trailing = (arb_ack(), arb_lags(), arb_lags()).prop_map(|(ack, packed, acked)| {
+        let (packed, acked) = (behind(&ack, &packed), behind(&ack, &acked));
+        (ack, packed, acked)
+    });
+    let unrelated = (arb_ack(), arb_ack(), arb_ack());
+    prop_oneof![trailing, unrelated]
+}
+
 fn arb_ack_only() -> impl Strategy<Value = Pdu> {
-    (
-        any::<u32>(),
-        0u32..64,
-        arb_ack(),
-        arb_ack(),
-        arb_ack(),
-        any::<u32>(),
-    )
-        .prop_map(|(cid, src, ack, packed, acked, buf)| {
+    (any::<u32>(), 0u32..64, arb_ack_only_vectors(), any::<u32>()).prop_map(
+        |(cid, src, (ack, packed, acked), buf)| {
             Pdu::AckOnly(AckOnlyPdu {
                 cid,
                 src: EntityId::new(src),
@@ -91,7 +114,8 @@ fn arb_ack_only() -> impl Strategy<Value = Pdu> {
                 acked,
                 buf,
             })
-        })
+        },
+    )
 }
 
 fn arb_pdu() -> impl Strategy<Value = Pdu> {
